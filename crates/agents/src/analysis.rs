@@ -450,10 +450,11 @@ mod tests {
         let sim = PfsSimulator::new(ClusterSpec::paper_cluster());
         let spec = kind.spec().scaled(0.1);
         let mut collector = darshan::Collector::new(kind.label(), 50);
-        sim.run_traced(
+        sim.run_traced_faulted(
             spec.generate(sim.topology(), 1),
             &TuningConfig::lustre_default(),
             1,
+            None,
             &mut collector,
         );
         darshan::tables::to_tables(&collector.finish())

@@ -41,7 +41,7 @@ fn bench_darshan(c: &mut Criterion) {
             || spec.generate(sim.topology(), 1),
             |streams| {
                 let mut collector = darshan::Collector::new("bench", 50);
-                sim.run_traced(streams, &cfg, 1, &mut collector);
+                sim.run_traced_faulted(streams, &cfg, 1, None, &mut collector);
                 let log = collector.finish();
                 black_box(darshan::tables::to_tables(&log))
             },

@@ -56,22 +56,12 @@ impl PfsSimulator {
     }
 
     /// Execute `streams` under `cfg`, seeded with `seed`, sending the trace
-    /// to `sink`. Returns wall time and diagnostics.
-    pub fn run_traced(
-        &self,
-        streams: Vec<RankStream>,
-        cfg: &TuningConfig,
-        seed: u64,
-        sink: &mut dyn TraceSink,
-    ) -> RunResult {
-        self.run_traced_faulted(streams, cfg, seed, None, sink)
-    }
-
-    /// Like [`PfsSimulator::run_traced`], but executes under an optional
-    /// [`FaultPlan`]: OST service times are scaled by the plan's
-    /// piecewise-constant degradation factors, evaluated in simulated time.
-    /// Faults change wall times only — the trace's record sequence and shape
-    /// stay identical to a pristine run of the same streams.
+    /// to `sink`. Returns wall time and diagnostics. Pass `None` for a
+    /// pristine cluster; under a [`FaultPlan`], OST service times are scaled
+    /// by the plan's piecewise-constant degradation factors, evaluated in
+    /// simulated time. Faults change wall times only — the trace's record
+    /// sequence and shape stay identical to a pristine run of the same
+    /// streams.
     pub fn run_traced_faulted(
         &self,
         streams: Vec<RankStream>,
@@ -85,10 +75,9 @@ impl PfsSimulator {
         RunResult::from_parts(wall.as_secs_f64(), &diag)
     }
 
-    /// Execute without tracing.
+    /// Execute on a pristine cluster without tracing.
     pub fn run(&self, streams: Vec<RankStream>, cfg: &TuningConfig, seed: u64) -> RunResult {
-        let mut sink = NullSink;
-        self.run_traced(streams, cfg, seed, &mut sink)
+        self.run_traced_faulted(streams, cfg, seed, None, &mut NullSink)
     }
 }
 
@@ -348,7 +337,13 @@ mod tests {
         let sim = PfsSimulator::new(topo());
         let cfg = TuningConfig::lustre_default();
         let mut sink = VecSink::default();
-        sim.run_traced(vec![write_stream(0, 0, 2, 1 << 20)], &cfg, 1, &mut sink);
+        sim.run_traced_faulted(
+            vec![write_stream(0, 0, 2, 1 << 20)],
+            &cfg,
+            1,
+            None,
+            &mut sink,
+        );
         // create + 2 writes + close (barrier emits nothing)
         assert!(sink.records.len() >= 4);
         assert!(sink
@@ -375,7 +370,7 @@ mod tests {
         );
 
         let mut pristine_sink = VecSink::default();
-        let pristine = sim.run_traced(mk(), &cfg, 23, &mut pristine_sink);
+        let pristine = sim.run_traced_faulted(mk(), &cfg, 23, None, &mut pristine_sink);
         let mut faulted_sink = VecSink::default();
         let faulted = sim.run_traced_faulted(mk(), &cfg, 23, Some(&plan), &mut faulted_sink);
 

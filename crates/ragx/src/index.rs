@@ -12,7 +12,7 @@ pub struct VectorIndex {
 }
 
 impl VectorIndex {
-    /// Build an index from pre-chunked text (embedding in parallel).
+    /// Build an index from pre-chunked text, embedding chunks sequentially.
     pub fn build(chunks: Vec<String>) -> Self {
         let embedder = Embedder;
         let vectors: Vec<Vec<f32>> = chunks.par_iter().map(|c| embedder.embed(c)).collect();

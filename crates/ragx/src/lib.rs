@@ -13,7 +13,8 @@
 //! * [`chunk`] — the 1024/20 token chunker;
 //! * [`embed`] — a feature-hashing n-gram embedder (the stand-in for
 //!   `text-embedding-3-large`);
-//! * [`index`] — a brute-force cosine vector index (rayon-parallel);
+//! * [`index`] — a brute-force cosine vector index (embedded sequentially:
+//!   the vendored `rayon` is a sequential stand-in);
 //! * [`extract`] — the multi-step filtering pipeline, yielding the 13
 //!   tunables with accurate descriptions and (possibly dependent) ranges;
 //! * [`truth`] — scoring of recalled facts against registry ground truth

@@ -16,7 +16,8 @@
 //! the *same* starting snapshot, and learned rules merge in grid order
 //! after the round. [`Campaign::run`] (parallel) and
 //! [`Campaign::run_serial`] therefore produce identical reports — asserted
-//! by the `campaign_determinism` integration test.
+//! in `tests/integration_campaign.rs`, which also pins both to a warm grid
+//! rebuilt by hand from stand-alone sessions.
 //!
 //! ## Rule storage
 //!
@@ -50,7 +51,10 @@
 //! all suspended claims the next planned cell and keeps polling the
 //! suspended set, so several backend calls overlap in flight on one
 //! thread ([`crate::sched::RoundSched::max_in_flight`] records the peak).
-//! Suspension changes only *when* cells execute — reports stay
+//! A serial run ([`Campaign::run_serial`]) is the same worker loop with
+//! one worker and grid order, under one serial rule: the worker does not
+//! claim a new cell while its open cell is suspended, so at most one call
+//! is in flight. Suspension changes only *when* cells execute — reports stay
 //! bit-identical to the blocking path, property-tested in
 //! `tests/integration_nonblocking.rs`.
 //!
@@ -89,7 +93,7 @@
 
 use crate::engine::{Stellar, TuningRun};
 use crate::sched::{self, CostModel, RoundSched, SchedStats, Schedule};
-use crate::session::{SessionError, SessionOutcome};
+use crate::session::{SessionError, SessionEvent, SessionOutcome, TuningSession};
 use agents::{RuleSet, RuleSnapshot, ShardedRuleStore};
 use llmsim::{CallHandle, UsageMeter};
 use serde::{Deserialize, Serialize};
@@ -185,8 +189,9 @@ pub struct CampaignGrid {
 ///   threads, so their order is real but not reproducible.
 ///
 /// Observers must be [`Send`]: telemetry callbacks arrive from the worker
-/// threads of [`Campaign::run`] (serialized through a lock — methods never
-/// run concurrently, but may run on different threads).
+/// threads that execute each round, serial runs included (serialized
+/// through a lock — methods never run concurrently, but may run on
+/// different threads).
 pub trait CampaignObserver: Send {
     /// Canonical: the grid is about to execute.
     fn on_campaign_start(&mut self, grid: &CampaignGrid) {
@@ -287,6 +292,15 @@ pub enum CellOutcome {
     Finished(TuningRun),
     /// The cell failed; siblings were unaffected.
     Failed(CellFailure),
+}
+
+impl From<SessionOutcome> for CellOutcome {
+    fn from(outcome: SessionOutcome) -> Self {
+        match outcome {
+            SessionOutcome::Finished(run) => CellOutcome::Finished(run),
+            SessionOutcome::Failed(error) => CellOutcome::Failed(CellFailure::Session(error)),
+        }
+    }
 }
 
 /// One executed grid cell.
@@ -670,8 +684,8 @@ impl<'e> Campaign<'e> {
         seed: u64,
         workload_idx: usize,
         rules: &RuleSnapshot,
-    ) -> crate::session::TuningSession<'_> {
-        crate::session::TuningSession::with_run_seed(
+    ) -> TuningSession<'_> {
+        TuningSession::with_run_seed(
             self.engine,
             self.workloads[workload_idx].as_ref(),
             rules.clone(),
@@ -679,26 +693,10 @@ impl<'e> Campaign<'e> {
         )
     }
 
-    /// Execute one cell inside its failure domain: the session is stepped
-    /// to its end behind `catch_unwind`, so a structured failure *and* an
-    /// outright panic both become a [`CellOutcome::Failed`] instead of
-    /// tearing down the campaign.
-    fn run_cell(&self, seed: u64, workload_idx: usize, rules: &RuleSnapshot) -> CampaignCell {
-        let session = self.open_session(seed, workload_idx, rules);
-        // AssertUnwindSafe: on panic the session (and any in-flight call
-        // it holds) is discarded wholesale, so no broken invariant can be
-        // observed afterwards.
-        let outcome = match std::panic::catch_unwind(AssertUnwindSafe(move || {
-            let mut session = session;
-            while !session.is_ended() {
-                session.step();
-            }
-            session.into_outcome()
-        })) {
-            Ok(SessionOutcome::Finished(run)) => CellOutcome::Finished(run),
-            Ok(SessionOutcome::Failed(error)) => CellOutcome::Failed(CellFailure::Session(error)),
-            Err(payload) => CellOutcome::Failed(CellFailure::Panic(panic_message(payload))),
-        };
+    /// The cell at `workload_idx` of round `seed`, concluded by `outcome`.
+    /// Every cell a report holds is built here, whether a worker published
+    /// it, caught it panicking, or a resume replayed it from a record.
+    fn cell(&self, seed: u64, workload_idx: usize, outcome: CellOutcome) -> CampaignCell {
         CampaignCell {
             workload: self.workloads[workload_idx].name(),
             seed,
@@ -707,46 +705,52 @@ impl<'e> Campaign<'e> {
         }
     }
 
-    /// One round (all workloads at one seed), parallel across `threads`,
-    /// claiming cells in `order`. Returns `(cell, busy_secs)` pairs in
-    /// grid order plus the round's peak of simultaneously in-flight
-    /// backend calls on any one worker: results land in per-slot
-    /// `OnceLock`s — one lock-free atomic publish per cell instead of
-    /// the old `Mutex<Vec<Option<_>>>` that serialized every worker
-    /// through one lock.
+    /// One round (all workloads at one seed) on `workers` scoped worker
+    /// threads, claiming cells in `order`. Returns `(cell, busy_secs)`
+    /// pairs in grid order plus the round's peak of simultaneously
+    /// in-flight backend calls on any one worker: results land in
+    /// per-slot `OnceLock`s — one lock-free atomic publish per cell.
     ///
     /// ## Worker multiplexing
     ///
     /// Workers *step* sessions rather than draining them. On the instant
     /// backend a session never suspends, so a worker carries one cell to
-    /// completion before claiming the next — exactly the historical
-    /// behaviour. With backend latency injected, a session step can
-    /// return [`SessionEvent::Waiting`]; once **all** of a worker's open
-    /// cells are suspended it claims the next planned cell instead of
-    /// idling, then keeps polling the suspended set round-robin. K
-    /// backend calls thereby overlap in flight on a single thread, while
-    /// results still publish into grid-indexed slots and rule merges stay
-    /// in grid order — reports are bit-identical to the blocking path
-    /// (property-tested in `tests/integration_nonblocking.rs`).
-    fn round_parallel(
+    /// completion before claiming the next. With backend latency
+    /// injected, a session step can return [`SessionEvent::Waiting`]; with
+    /// `claim_ahead` set, once **all** of a worker's open cells are
+    /// suspended it claims the next planned cell instead of idling, then
+    /// keeps polling the suspended set round-robin. K backend calls
+    /// thereby overlap in flight on a single thread, while results still
+    /// publish into grid-indexed slots and rule merges stay in grid order
+    /// — reports are bit-identical to the blocking path (property-tested
+    /// in `tests/integration_nonblocking.rs`).
+    ///
+    /// ## Serial rounds
+    ///
+    /// [`Campaign::run_serial`] runs this loop with one worker, grid order
+    /// and `claim_ahead` off: the worker does not claim a new cell while
+    /// its open cell is suspended, so at most one call is in flight and
+    /// each cell publishes before the next is claimed.
+    fn run_round(
         &self,
         seed: u64,
         rules: &RuleSnapshot,
         order: &[usize],
+        workers: usize,
+        claim_ahead: bool,
     ) -> (Vec<(CampaignCell, f64)>, usize) {
         let n = self.workloads.len();
         debug_assert_eq!(order.len(), n);
         let slots: Vec<OnceLock<(CampaignCell, f64)>> = (0..n).map(|_| OnceLock::new()).collect();
         let next = AtomicUsize::new(0);
         let in_flight_peak = AtomicUsize::new(0);
-        let workers = self.threads.min(n).max(1);
         std::thread::scope(|scope| {
             for worker in 0..workers {
                 let (slots, next, in_flight_peak) = (&slots, &next, &in_flight_peak);
                 scope.spawn(move || {
                     struct Open<'s> {
                         grid_idx: usize,
-                        session: crate::session::TuningSession<'s>,
+                        session: TuningSession<'s>,
                         /// Time this worker actively spent stepping the
                         /// cell — NOT claim-to-publish elapsed time,
                         /// which under multiplexing would also count
@@ -759,11 +763,12 @@ impl<'e> Campaign<'e> {
                     let mut open: Vec<Open> = Vec::new();
                     let mut peak = 0usize;
                     loop {
-                        // Claim when idle (nothing open) or when every
-                        // open cell is suspended on an in-flight call.
-                        if (open.is_empty() || open.iter().all(|c| c.waiting))
-                            && next.load(Ordering::Relaxed) < n
-                        {
+                        // Claim when idle (nothing open) or, claiming
+                        // ahead, when every open cell is suspended on an
+                        // in-flight call.
+                        let may_claim =
+                            open.is_empty() || (claim_ahead && open.iter().all(|c| c.waiting));
+                        if may_claim && next.load(Ordering::Relaxed) < n {
                             let k = next.fetch_add(1, Ordering::Relaxed);
                             if k < n {
                                 let i = order[k];
@@ -796,66 +801,40 @@ impl<'e> Campaign<'e> {
                                 open[idx].session.step()
                             }));
                             open[idx].busy_secs += t0.elapsed().as_secs_f64();
-                            let event = match step {
-                                Ok(event) => event,
+                            if let Ok(event) = &step {
+                                let was_waiting = open[idx].waiting;
+                                open[idx].waiting = matches!(event, SessionEvent::Waiting { .. });
+                                // Announce the *transition* into suspension,
+                                // not every poll of an already-waiting cell.
+                                if open[idx].waiting && !was_waiting {
+                                    if let SessionEvent::Waiting { call } = *event {
+                                        let i = open[idx].grid_idx;
+                                        self.notify(|o| o.on_cell_suspended(worker, seed, i, call));
+                                    }
+                                }
+                                // A waiting cell holds a live in-flight call
+                                // until a later step completes it, so this
+                                // count is the worker's simultaneous
+                                // in-flight calls at this instant.
+                                peak = peak.max(open.iter().filter(|c| c.waiting).count());
+                                if !open[idx].session.is_ended() {
+                                    idx += 1;
+                                    continue;
+                                }
+                            }
+                            // The cell ended or panicked: publish it.
+                            // swap_remove puts another open cell at idx.
+                            let done = open.swap_remove(idx);
+                            let outcome = match step {
+                                Ok(_) => CellOutcome::from(done.session.into_outcome()),
                                 Err(payload) => {
-                                    let done = open.swap_remove(idx);
-                                    let i = done.grid_idx;
-                                    let cell = CampaignCell {
-                                        workload: self.workloads[i].name(),
-                                        seed,
-                                        cell_seed: self.cell_seed(seed, i),
-                                        outcome: CellOutcome::Failed(CellFailure::Panic(
-                                            panic_message(payload),
-                                        )),
-                                    };
-                                    let set = slots[i].set((cell, done.busy_secs));
-                                    assert!(set.is_ok(), "cell {i} executed twice");
-                                    self.notify(|o| {
-                                        o.on_cell_published(worker, seed, i, done.busy_secs)
-                                    });
-                                    continue; // swap_remove put a new cell at idx
+                                    CellOutcome::Failed(CellFailure::Panic(panic_message(payload)))
                                 }
                             };
-                            let was_waiting = open[idx].waiting;
-                            open[idx].waiting =
-                                matches!(event, crate::session::SessionEvent::Waiting { .. });
-                            // Announce the *transition* into suspension,
-                            // not every poll of an already-waiting cell.
-                            if open[idx].waiting && !was_waiting {
-                                if let crate::session::SessionEvent::Waiting { call } = event {
-                                    let i = open[idx].grid_idx;
-                                    self.notify(|o| o.on_cell_suspended(worker, seed, i, call));
-                                }
-                            }
-                            // A waiting cell holds a live in-flight call
-                            // until a later step completes it, so this
-                            // count is the worker's simultaneous
-                            // in-flight calls at this instant.
-                            peak = peak.max(open.iter().filter(|c| c.waiting).count());
-                            if open[idx].session.is_ended() {
-                                let done = open.swap_remove(idx);
-                                let i = done.grid_idx;
-                                let outcome = match done.session.into_outcome() {
-                                    SessionOutcome::Finished(run) => CellOutcome::Finished(run),
-                                    SessionOutcome::Failed(error) => {
-                                        CellOutcome::Failed(CellFailure::Session(error))
-                                    }
-                                };
-                                let cell = CampaignCell {
-                                    workload: self.workloads[i].name(),
-                                    seed,
-                                    cell_seed: self.cell_seed(seed, i),
-                                    outcome,
-                                };
-                                let set = slots[i].set((cell, done.busy_secs));
-                                assert!(set.is_ok(), "cell {i} executed twice");
-                                self.notify(|o| {
-                                    o.on_cell_published(worker, seed, i, done.busy_secs)
-                                });
-                            } else {
-                                idx += 1;
-                            }
+                            let i = done.grid_idx;
+                            let set = slots[i].set((self.cell(seed, i, outcome), done.busy_secs));
+                            assert!(set.is_ok(), "cell {i} executed twice");
+                            self.notify(|o| o.on_cell_published(worker, seed, i, done.busy_secs));
                         }
                     }
                     in_flight_peak.fetch_max(peak, Ordering::Relaxed);
@@ -867,25 +846,6 @@ impl<'e> Campaign<'e> {
             .map(|s| s.into_inner().expect("every cell executed"))
             .collect();
         (cells, in_flight_peak.into_inner())
-    }
-
-    /// Serial counterpart of [`Campaign::round_parallel`]: one implicit
-    /// worker (index 0) drains cells in grid order. Sessions are drained
-    /// internally, so suspension telemetry is not observable here — only
-    /// claims and publishes are reported.
-    fn round_serial(&self, seed: u64, rules: &RuleSnapshot) -> Vec<(CampaignCell, f64)> {
-        (0..self.workloads.len())
-            .map(|i| {
-                self.notify(|o| o.on_cell_claimed(0, seed, i, &self.workloads[i].name()));
-                // detlint::allow(D001): serial-path cell timing, same sidecar-only
-                // destination as the parallel claim loop's measurement
-                let t0 = Instant::now();
-                let cell = self.run_cell(seed, i, rules);
-                let busy = t0.elapsed().as_secs_f64();
-                self.notify(|o| o.on_cell_published(0, seed, i, busy));
-                (cell, busy)
-            })
-            .collect()
     }
 
     fn execute(&self, parallel: bool) -> CampaignReport {
@@ -951,91 +911,71 @@ impl<'e> Campaign<'e> {
         self.notify(|o| o.on_campaign_start(&grid));
         let mut cells = Vec::with_capacity(self.workloads.len() * self.seeds.len());
         for (round_idx, &seed) in self.seeds.iter().enumerate() {
+            self.notify(|o| o.on_round_start(seed));
             // Crash-consistent resume: rounds reconstructed from a
             // partial record replay — same canonical notifications, same
             // grid-order merges, no execution. Telemetry (which measures
             // execution) records a zeroed round, and the cost model is
             // not fed: replayed cells cost nothing here.
-            if let Some(replayed) = self.replay.get(round_idx) {
-                self.notify(|o| o.on_round_start(seed));
-                for cell in replayed {
-                    match &cell.outcome {
-                        CellOutcome::Finished(run) => {
-                            self.notify(|o| o.on_cell_finished(cell));
-                            store.merge(run.new_rules.clone());
-                            self.notify(|o| {
-                                o.on_rules_merged(&cell.workload, run.new_rules.len(), store.len())
-                            });
+            let (round, round_sched) = match self.replay.get(round_idx) {
+                Some(replayed) => {
+                    let zeroed = RoundSched {
+                        seed,
+                        order: (0..self.workloads.len()).collect(),
+                        cell_secs: vec![0.0; self.workloads.len()],
+                        makespan_secs: 0.0,
+                        utilization: 0.0,
+                        max_in_flight: 0,
+                    };
+                    (replayed.clone(), zeroed)
+                }
+                None => {
+                    // O(1) either way: snapshots share shards, they don't
+                    // clone rules — warm rounds no longer pay for the set
+                    // they've grown.
+                    let snapshot = match self.mode {
+                        RuleMode::Cold => base_snapshot.clone(),
+                        RuleMode::Warm => store.snapshot(),
+                    };
+                    // Serial rounds always execute in grid order, so that
+                    // is what the telemetry must report (overrides only
+                    // steer `run()`).
+                    let order = match (&model, self.order_override.as_ref().filter(|_| parallel)) {
+                        (_, Some(o)) => o.clone(),
+                        (Some(m), None) => sched::plan(sched_stats.schedule, m),
+                        (None, None) => (0..self.workloads.len()).collect(),
+                    };
+                    self.notify(|o| o.on_round_planned(seed, sched_stats.schedule, &order));
+                    // detlint::allow(D001): round makespan is sched telemetry — rendered on
+                    // stderr and recorded in the strippable sidecar, never in canonical events
+                    let round_start = Instant::now();
+                    let (round, max_in_flight) =
+                        self.run_round(seed, &snapshot, &order, workers, parallel);
+                    let makespan_secs = round_start.elapsed().as_secs_f64();
+                    let (round, cell_secs): (Vec<CampaignCell>, Vec<f64>) =
+                        round.into_iter().unzip();
+                    if let Some(m) = model.as_mut() {
+                        // Failed cells measure time-to-failure, not
+                        // workload cost — don't let them skew the
+                        // adaptive model.
+                        for (i, &secs) in cell_secs.iter().enumerate() {
+                            if !round[i].is_failed() {
+                                m.observe(i, secs);
+                            }
                         }
-                        CellOutcome::Failed(_) => self.notify(|o| o.on_cell_failed(cell)),
                     }
+                    let busy: f64 = cell_secs.iter().sum();
+                    let measured = RoundSched {
+                        seed,
+                        order,
+                        cell_secs,
+                        makespan_secs,
+                        utilization: sched::round_utilization(busy, workers, makespan_secs),
+                        max_in_flight,
+                    };
+                    (round, measured)
                 }
-                sched_stats.rounds.push(RoundSched {
-                    seed,
-                    order: (0..self.workloads.len()).collect(),
-                    cell_secs: vec![0.0; self.workloads.len()],
-                    makespan_secs: 0.0,
-                    utilization: 0.0,
-                    max_in_flight: 0,
-                });
-                self.notify(|o| {
-                    o.on_round_finished(sched_stats.rounds.last().expect("round just pushed"))
-                });
-                cells.extend(replayed.iter().cloned());
-                continue;
-            }
-            // O(1) either way: snapshots share shards, they don't clone
-            // rules — warm rounds no longer pay for the set they've grown.
-            let snapshot = match self.mode {
-                RuleMode::Cold => base_snapshot.clone(),
-                RuleMode::Warm => store.snapshot(),
             };
-            // Serial rounds always execute in grid order, so that is what
-            // the telemetry must report (overrides only steer `run()`).
-            let order = match (&model, self.order_override.as_ref().filter(|_| parallel)) {
-                (_, Some(o)) => o.clone(),
-                (Some(m), None) => sched::plan(sched_stats.schedule, m),
-                (None, None) => (0..self.workloads.len()).collect(),
-            };
-            self.notify(|o| o.on_round_start(seed));
-            self.notify(|o| o.on_round_planned(seed, sched_stats.schedule, &order));
-            // detlint::allow(D001): round makespan is sched telemetry — rendered on
-            // stderr and recorded in the strippable sidecar, never in canonical events
-            let round_start = Instant::now();
-            let (round, max_in_flight) = if parallel {
-                self.round_parallel(seed, &snapshot, &order)
-            } else {
-                // Serial rounds drain cells one at a time: a suspended
-                // cell is polled to completion before the next starts,
-                // so exactly one call is in flight whenever the backend
-                // actually suspends, and none on the instant backend.
-                let suspends = self
-                    .engine
-                    .options()
-                    .backend_latency
-                    .is_some_and(|p| !p.is_instant());
-                (self.round_serial(seed, &snapshot), usize::from(suspends))
-            };
-            let makespan_secs = round_start.elapsed().as_secs_f64();
-            let cell_secs: Vec<f64> = round.iter().map(|(_, s)| *s).collect();
-            if let Some(m) = model.as_mut() {
-                // Failed cells measure time-to-failure, not workload
-                // cost — don't let them skew the adaptive model.
-                for (i, &secs) in cell_secs.iter().enumerate() {
-                    if !round[i].0.is_failed() {
-                        m.observe(i, secs);
-                    }
-                }
-            }
-            let busy: f64 = cell_secs.iter().sum();
-            sched_stats.rounds.push(RoundSched {
-                seed,
-                order,
-                cell_secs,
-                makespan_secs,
-                utilization: sched::round_utilization(busy, workers, makespan_secs),
-                max_in_flight,
-            });
             // Merge learnings in grid order — deterministic regardless of
             // which thread finished first. Only the shards the new rules
             // land in are copied; outstanding snapshots are untouched.
@@ -1044,7 +984,7 @@ impl<'e> Campaign<'e> {
             // which worker finished which cell first. Failed cells merge
             // nothing — a partial session must not leak half-learned
             // rules into its siblings' snapshots.
-            for (cell, _) in &round {
+            for cell in &round {
                 match &cell.outcome {
                     CellOutcome::Finished(run) => {
                         self.notify(|o| o.on_cell_finished(cell));
@@ -1056,10 +996,9 @@ impl<'e> Campaign<'e> {
                     CellOutcome::Failed(_) => self.notify(|o| o.on_cell_failed(cell)),
                 }
             }
-            self.notify(|o| {
-                o.on_round_finished(sched_stats.rounds.last().expect("round just pushed"))
-            });
-            cells.extend(round.into_iter().map(|(cell, _)| cell));
+            self.notify(|o| o.on_round_finished(&round_sched));
+            sched_stats.rounds.push(round_sched);
+            cells.extend(round);
         }
         let report = CampaignReport {
             cells,
@@ -1076,7 +1015,9 @@ impl<'e> Campaign<'e> {
         self.execute(true)
     }
 
-    /// Run the grid serially (same result as [`Campaign::run`]).
+    /// Run the grid serially (same result as [`Campaign::run`]): the
+    /// worker loop with one worker in grid order, which never claims a
+    /// new cell while its open cell is suspended.
     pub fn run_serial(&self) -> CampaignReport {
         self.execute(false)
     }
@@ -1268,12 +1209,7 @@ impl<'e> Campaign<'e> {
                 "cell {workload} (seed {seed}) recorded cell seed {cell_seed}, derived {expected_seed}"
             ));
         }
-        cells.push(CampaignCell {
-            workload: workload.to_string(),
-            seed,
-            cell_seed,
-            outcome,
-        });
+        cells.push(self.cell(seed, idx, outcome));
         Ok(())
     }
 }

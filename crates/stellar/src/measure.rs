@@ -1,6 +1,7 @@
 //! The replicated measurement protocol of §5.1: eight runs per
 //! configuration, mean with 90% confidence interval, fresh file-system state
-//! per run. Replications execute in parallel (rayon).
+//! per run. Replications execute sequentially: the vendored `rayon` is a
+//! sequential stand-in.
 
 use pfs::params::TuningConfig;
 use pfs::PfsSimulator;

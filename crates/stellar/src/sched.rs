@@ -176,7 +176,7 @@ pub fn plan(schedule: Schedule, model: &CostModel) -> Vec<usize> {
 /// Greedy list-scheduling makespan: cells execute in `order`, each claimed
 /// by the earliest-free of `workers` workers (ties to the lowest worker).
 ///
-/// This mirrors the claim loop in `Campaign::round_parallel` exactly, so
+/// This mirrors the claim loop in `Campaign::run_round` exactly, so
 /// benches can compare policies from measured per-cell costs without
 /// needing the host to actually have that many cores.
 pub fn makespan(order: &[usize], costs: &[f64], workers: usize) -> f64 {

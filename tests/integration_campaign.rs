@@ -1,7 +1,7 @@
 //! Campaign-layer integration: deterministic parallel execution and
 //! cross-layer consistency with single sessions.
 
-use agents::RuleSet;
+use agents::{RuleSet, ShardedRuleStore};
 use stellar::{sched, Campaign, CampaignReport, RuleMode, Schedule, StellarBuilder};
 use workloads::WorkloadKind;
 
@@ -137,4 +137,68 @@ fn campaign_cell_matches_standalone_session() {
     assert_eq!(run.best_wall.to_bits(), standalone.best_wall.to_bits());
     assert_eq!(run.best_config, standalone.best_config);
     assert_eq!(run.transcript, standalone.transcript);
+}
+
+/// A warm campaign rebuilt by hand, outside the worker loop that both
+/// `run()` and `run_serial()` execute: every cell is a stand-alone
+/// drained session at its recorded cell seed, every round starts from a
+/// snapshot of the rules merged so far, and learned rules merge in grid
+/// order.
+#[test]
+fn warm_campaign_matches_hand_built_reference() {
+    let grid = [
+        WorkloadKind::Ior64K,
+        WorkloadKind::Ior16M,
+        WorkloadKind::MdWorkbench2K,
+    ];
+    let engine = StellarBuilder::new().attempt_budget(3).build();
+    let campaign = Campaign::new(&engine)
+        .kinds(&grid, 0.05)
+        .seeds([41, 42])
+        .rule_mode(RuleMode::Warm)
+        .threads(3);
+    let parallel = campaign.run();
+    let serial = campaign.run_serial();
+    assert!(
+        !parallel.rules.is_empty(),
+        "round one hands rules to round two"
+    );
+
+    // Cell seeds are fully derived, hence `SeedPolicy::Fixed` (see
+    // `campaign_cell_matches_standalone_session`).
+    let fixed_engine = StellarBuilder::new()
+        .attempt_budget(3)
+        .seed_policy(stellar::SeedPolicy::Fixed)
+        .build();
+    let workloads: Vec<_> = grid.iter().map(|k| k.spec_at(0.05)).collect();
+    let mut store = ShardedRuleStore::for_topology(fixed_engine.sim().topology().ost_count());
+    let mut reference = Vec::new();
+    for round in parallel.cells.chunks(grid.len()) {
+        let snapshot = store.snapshot();
+        let runs: Vec<_> = round
+            .iter()
+            .zip(&workloads)
+            .map(|(cell, w)| {
+                fixed_engine
+                    .session(w.as_ref(), snapshot.clone(), cell.cell_seed)
+                    .drain()
+            })
+            .collect();
+        for run in runs {
+            store.merge(run.new_rules.clone());
+            reference.push(run);
+        }
+    }
+
+    for (tag, report) in [("run", &parallel), ("run_serial", &serial)] {
+        assert_eq!(report.cells.len(), reference.len(), "{tag}: cell count");
+        for (cell, want) in report.cells.iter().zip(&reference) {
+            let at = format!("{tag}: {} @ seed {}", cell.workload, cell.seed);
+            let got = cell.run().expect("perfect backend: every cell finishes");
+            assert_eq!(got.best_wall.to_bits(), want.best_wall.to_bits(), "{at}");
+            assert_eq!(got.transcript, want.transcript, "{at}");
+            assert_eq!(got.new_rules, want.new_rules, "{at}");
+        }
+        assert_eq!(report.rules, store.to_rule_set(), "{tag}: final rules");
+    }
 }

@@ -4,9 +4,10 @@
 //! cells, rules, transcripts, usage meters, all bit-identical to the
 //! instant-backend path.
 
-use llmsim::LatencyProfile;
+use llmsim::{CallHandle, LatencyProfile};
 use proptest::prelude::*;
-use stellar::{Campaign, CampaignReport, RuleMode, Stellar, StellarBuilder};
+use std::sync::{Arc, Mutex};
+use stellar::{Campaign, CampaignObserver, CampaignReport, RuleMode, Stellar, StellarBuilder};
 use workloads::WorkloadKind;
 
 const GRID: [WorkloadKind; 3] = [
@@ -119,6 +120,63 @@ fn serial_run_with_latency_matches_instant() {
     let report = campaign(&e).run_serial();
     assert_eq!(report.sched_stats.max_in_flight(), 1);
     assert_reports_identical("serial latency", &report, baseline());
+}
+
+/// One worker callback: `(callback, seed, grid_idx)`.
+type Seen = (&'static str, u64, usize);
+
+/// Worker telemetry in arrival order.
+#[derive(Clone, Default)]
+struct Telemetry(Arc<Mutex<Vec<Seen>>>);
+
+impl CampaignObserver for Telemetry {
+    fn on_cell_claimed(&mut self, _worker: usize, seed: u64, grid_idx: usize, _workload: &str) {
+        self.0.lock().unwrap().push(("claimed", seed, grid_idx));
+    }
+
+    fn on_cell_suspended(&mut self, _worker: usize, seed: u64, grid_idx: usize, _call: CallHandle) {
+        self.0.lock().unwrap().push(("suspended", seed, grid_idx));
+    }
+
+    fn on_cell_published(&mut self, _worker: usize, seed: u64, grid_idx: usize, _busy_secs: f64) {
+        self.0.lock().unwrap().push(("published", seed, grid_idx));
+    }
+}
+
+/// A serial run is the worker loop with one worker that never claims
+/// ahead: under injected latency every round claims its cells in grid
+/// order, publishes each cell before claiming the next, and reports the
+/// suspensions its one open cell polls through.
+#[test]
+fn serial_run_never_claims_ahead_of_a_suspended_cell() {
+    let e = engine(Some(LatencyProfile::fixed(4)));
+    let telemetry = Telemetry::default();
+    let report = campaign(&e)
+        .observe(Box::new(telemetry.clone()))
+        .run_serial();
+    let seen = telemetry.0.lock().unwrap();
+    for seed in SEEDS {
+        let round: Vec<(&str, usize)> = seen
+            .iter()
+            .filter(|&&(_, s, _)| s == seed)
+            .map(|&(callback, _, i)| (callback, i))
+            .collect();
+        let lifecycle: Vec<(&str, usize)> = round
+            .iter()
+            .copied()
+            .filter(|&(callback, _)| callback != "suspended")
+            .collect();
+        let one_at_a_time: Vec<(&str, usize)> = (0..GRID.len())
+            .flat_map(|i| [("claimed", i), ("published", i)])
+            .collect();
+        assert_eq!(lifecycle, one_at_a_time, "seed {seed}");
+        assert!(
+            round.iter().any(|&(callback, _)| callback == "suspended"),
+            "seed {seed}: a serial round must report its suspensions"
+        );
+    }
+    assert_eq!(report.sched_stats.max_in_flight(), 1);
+    assert_reports_identical("serial fixed latency", &report, baseline());
 }
 
 proptest! {

@@ -11,10 +11,11 @@ fn trace(kind: WorkloadKind, scale: f64) -> (pfs::RunResult, darshan::DarshanLog
     let sim = PfsSimulator::new(ClusterSpec::paper_cluster());
     let w = kind.spec().scaled(scale);
     let mut c = Collector::new(kind.label(), sim.topology().total_ranks());
-    let r = sim.run_traced(
+    let r = sim.run_traced_faulted(
         w.generate(sim.topology(), 1),
         &TuningConfig::lustre_default(),
         1,
+        None,
         &mut c,
     );
     (r, c.finish())
