@@ -108,3 +108,82 @@ fn shared_file_detection_matches_workload_structure() {
     assert_eq!(report.shared_file_count, 0);
     assert!(report.file_count > 100);
 }
+
+/// Simulator outputs pinned bit for bit, so a change inside the engine
+/// (page cache, RPC or lock paths) that shifts every run alike still fails
+/// here. Each case runs under the default config and under the registry
+/// minimum `llite.max_cached_mb = 64`; every client's footprint exceeds
+/// 64 MB, so the second run evicts.
+#[test]
+fn simulator_outputs_are_pinned_across_cache_budgets() {
+    use workloads::mdworkbench::MdWorkbench;
+    use workloads::Workload;
+    // MDWorkbench keeps one directory of files per rank resident at a time;
+    // at any `scaled()` factor cheap enough here that stays under 64 MB per
+    // client, so the case widens the directory instead: 120 one-chunk files
+    // x 10 ranks is 75 MB.
+    let mdw = MdWorkbench {
+        dirs_per_rank: 1,
+        files_per_dir: 120,
+        rounds: 1,
+        ..MdWorkbench::mdw_2k()
+    };
+    let cases: [(ClusterSpec, Box<dyn Workload>); 4] = [
+        (
+            ClusterSpec::scaled(200, 8),
+            WorkloadKind::Ior16M.spec().scaled(0.05),
+        ),
+        (
+            ClusterSpec::paper_cluster(),
+            WorkloadKind::Ior64K.spec().scaled(0.1),
+        ),
+        (ClusterSpec::paper_cluster(), Box::new(mdw)),
+        (
+            ClusterSpec::paper_cluster(),
+            WorkloadKind::Io500.spec().scaled(0.2),
+        ),
+    ];
+    // Per case, default then 64 MB: (wall_secs, cache_hit_ratio,
+    // dirty_stall_secs) as bits, bulk_rpcs, readahead_bytes.
+    #[rustfmt::skip]
+    const PINNED: [(u64, u64, u64, u64, u64); 8] = [
+        (0x400cb7c462a396d1, 0x3fe9d47ae147ae14, 0x40719a47d6d31398, 3845, 0x1c00000),
+        (0x40186bacc13ea42b, 0x3f9d70a3d70a3d71, 0x40719a47d6d31398, 6407, 0x6300000),
+        (0x40146a45d6230cca, 0x3f567ce349b0167d, 0x4053951edd8a4e17, 19675, 0x100000),
+        (0x40146a45d6230cca, 0x3f567ce349b0167d, 0x4053951edd8a4e17, 19675, 0x100000),
+        (0x3fdb87d822e3a726, 0x3ff0000000000000, 0x0, 6000, 0x0),
+        (0x3fde175802c2ca62, 0x3feb0a3d70a3d70a, 0x0, 6930, 0x0),
+        (0x3ffe7e3e2235c61c, 0x3fef388d5fda67db, 0x4030b194737b3300, 7153, 0x12300000),
+        (0x400904cce91eb46d, 0x3fe5038c9867c7b5, 0x4030b194737b3300, 11363, 0x26100000),
+    ];
+    let mut small = TuningConfig::lustre_default();
+    small.llite_max_cached_mb = 64;
+    let configs = [TuningConfig::lustre_default(), small];
+    let mut pinned = PINNED.iter();
+    let mut evicted = false;
+    for (topo, w) in cases {
+        let sim = PfsSimulator::new(topo);
+        let mut hit = [0.0; 2];
+        for (i, cfg) in configs.iter().enumerate() {
+            let r = sim.run(w.generate(sim.topology(), 3), cfg, 3);
+            hit[i] = r.cache_hit_ratio;
+            let got = (
+                r.wall_secs.to_bits(),
+                r.cache_hit_ratio.to_bits(),
+                r.dirty_stall_secs.to_bits(),
+                r.bulk_rpcs,
+                r.readahead_bytes,
+            );
+            let want = *pinned.next().expect("one pin per run");
+            assert_eq!(
+                got,
+                want,
+                "{} at max_cached_mb {}: {r:?}",
+                w.name(),
+                cfg.llite_max_cached_mb
+            );
+        }
+        evicted |= hit[1] < hit[0];
+    }
+    assert!(evicted, "no 64 MB run lost cache hits to eviction");
+}
