@@ -580,17 +580,13 @@ impl<'s> Engine<'s> {
                 f.last_wb_end = f.last_wb_end.max(end);
             }
             // Written data is in the client cache too.
-            for chunk in chunks_covering(offset, len) {
-                self.caches[client as usize].insert(file, chunk);
-            }
+            self.caches[client as usize].insert(file, chunks_covering(offset, len));
             return end;
         }
 
         // Buffered path: copy into cache, aggregate, flush full RPCs.
         t += self.memcpy(len);
-        for chunk in chunks_covering(offset, len) {
-            self.caches[client as usize].insert(file, chunk);
-        }
+        self.caches[client as usize].insert(file, chunks_covering(offset, len));
 
         let dirty_cap = self.cfg.osc_max_dirty_mb as u64 * (1 << 20);
         let rpc_bytes = self.cfg.rpc_bytes().max(4096);
@@ -665,7 +661,7 @@ impl<'s> Engine<'s> {
                 wait_until = wait_until.max(ready);
                 self.diag.cache_hit_chunks += 1;
                 self.ra_ready.remove(&ra_key);
-                self.caches[client as usize].insert(file, chunk);
+                self.caches[client as usize].insert(file, chunk..chunk + 1);
             } else {
                 self.diag.cache_miss_chunks += 1;
             }
@@ -712,9 +708,7 @@ impl<'s> Engine<'s> {
                 }
                 cur += take;
             }
-            for chunk in chunks_covering(*roff, *rlen) {
-                self.caches[client as usize].insert(file, chunk);
-            }
+            self.caches[client as usize].insert(file, chunks_covering(*roff, *rlen));
         }
         self.scratch_extents = extents;
         miss_runs.clear();
