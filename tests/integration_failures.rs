@@ -16,10 +16,12 @@
 //!    report and canonical stream bit-identical to the uninterrupted
 //!    run.
 
-use llmsim::{FailureInjection, FailureProfile, LatencyProfile};
+use llmsim::{CallError, CallHandle, FailureInjection, FailureProfile, LatencyProfile};
+use std::cell::RefCell;
+use std::rc::Rc;
 use stellar::{
-    Campaign, CampaignReport, CellFailure, JsonlEmitter, RetryPolicy, RunRecord, SessionError,
-    SessionEvent, SessionOutcome, Stellar, StellarBuilder,
+    Campaign, CampaignReport, CellFailure, JsonlEmitter, RetryPolicy, RunObserver, RunRecord,
+    SessionError, SessionEvent, SessionOutcome, Stellar, StellarBuilder,
 };
 use workloads::WorkloadKind;
 
@@ -247,4 +249,144 @@ fn resumed_campaign_is_bit_identical_to_uninterrupted() {
         assert_eq!(r.failure(), f.failure());
     }
     assert_eq!(resumed_report.rules, full_report.rules);
+}
+
+/// What a [`RunObserver`] hears about a session's backend calls.
+#[derive(Default)]
+struct CallLog {
+    /// Every `on_retry` as (context, attempt, error `Display`).
+    retries: Vec<(String, u32, String)>,
+    /// Number of `on_waiting` calls.
+    waits: usize,
+    /// The distinct call ids `on_waiting` saw, in order.
+    call_ids: Vec<u64>,
+}
+
+struct SharedCallLog(Rc<RefCell<CallLog>>);
+
+impl RunObserver for SharedCallLog {
+    fn on_waiting(&mut self, call: CallHandle) {
+        let mut log = self.0.borrow_mut();
+        log.waits += 1;
+        if !log.call_ids.contains(&call.id()) {
+            log.call_ids.push(call.id());
+        }
+    }
+
+    fn on_retry(&mut self, context: &str, attempt: u32, error: &CallError) {
+        self.0
+            .borrow_mut()
+            .retries
+            .push((context.to_string(), attempt, error.to_string()));
+    }
+}
+
+/// Drain one session at scale 0.05 under `uniform(1, 4)` backend latency
+/// and report its call log and outcome: the attempt count and best wall
+/// time bits, or the error's `Display`.
+fn call_schedule(
+    kind: WorkloadKind,
+    seed: u64,
+    injection: FailureInjection,
+    retry: RetryPolicy,
+) -> (CallLog, Result<(usize, u64), String>) {
+    let e = StellarBuilder::new()
+        .attempt_budget(3)
+        .backend_latency(LatencyProfile::uniform(1, 4))
+        .failures(injection)
+        .retry_policy(retry)
+        .build();
+    let w = kind.spec().scaled(SCALE);
+    let log = Rc::new(RefCell::new(CallLog::default()));
+    let mut session = e.session(w.as_ref(), agents::RuleSet::new(), seed);
+    session.observe(Box::new(SharedCallLog(log.clone())));
+    let outcome = match session.drain_outcome() {
+        SessionOutcome::Finished(run) => Ok((run.attempts.len(), run.best_wall.to_bits())),
+        SessionOutcome::Failed(error) => Err(error.to_string()),
+    };
+    let Ok(log) = Rc::try_unwrap(log) else {
+        panic!("the drained session must release its observer");
+    };
+    (log.into_inner(), outcome)
+}
+
+fn retry(context: &str, attempt: u32, error: &str) -> (String, u32, String) {
+    (context.to_string(), attempt, error.to_string())
+}
+
+/// Pins the seeded retry and latency schedule of three sessions, so a
+/// transport change that shifts every run alike still fails here: which
+/// turns retry with which errors, how many polls find a call in flight,
+/// which call ids they see, and how each session ends. The constants are
+/// the values the simulator produced when the test was written.
+#[test]
+fn seeded_session_call_schedules_are_pinned() {
+    let standard = RetryPolicy {
+        max_attempts: 3,
+        ..Default::default()
+    };
+
+    let (log, outcome) = call_schedule(
+        WorkloadKind::MdWorkbench2K,
+        72,
+        FailureInjection::standard(9),
+        standard,
+    );
+    assert_eq!(
+        log.retries,
+        [
+            retry("drive:turn1", 2, "transient: rate-limited"),
+            retry("drive:turn5", 2, "transient: gateway-timeout"),
+            retry("drive:turn5", 3, "transient: overloaded"),
+        ]
+    );
+    assert_eq!(log.waits, 28);
+    assert_eq!(log.call_ids, (0..10).collect::<Vec<u64>>());
+    assert_eq!(outcome, Ok((3, 4599461830765109726)));
+
+    let (log, outcome) = call_schedule(
+        WorkloadKind::Ior64K,
+        4,
+        FailureInjection::standard(9),
+        standard,
+    );
+    assert_eq!(
+        log.retries,
+        [retry("drive:turn5", 2, "transient: gateway-timeout")]
+    );
+    assert_eq!(log.waits, 25);
+    assert_eq!(log.call_ids, (0..7).collect::<Vec<u64>>());
+    assert_eq!(
+        outcome,
+        Err("fatal backend call at drive:turn5: fatal: credentials-revoked".to_string())
+    );
+
+    let (log, outcome) = call_schedule(
+        WorkloadKind::Ior64K,
+        1,
+        FailureInjection {
+            seed: 9,
+            profile: FailureProfile {
+                transient_rate: 0.5,
+                fatal_rate: 0.0,
+            },
+        },
+        RetryPolicy {
+            max_attempts: 2,
+            ..Default::default()
+        },
+    );
+    assert_eq!(
+        log.retries,
+        [retry("drive:turn1", 2, "transient: overloaded")]
+    );
+    assert_eq!(log.waits, 11);
+    assert_eq!(log.call_ids, [0, 1, 2]);
+    assert_eq!(
+        outcome,
+        Err(
+            "retry budget exhausted at drive:turn1 after 2 attempt(s): transient: gateway-timeout"
+                .to_string()
+        )
+    );
 }
