@@ -1,35 +1,33 @@
-//! Deterministic seeded failure injection for the non-blocking seam.
+//! Deterministic seeded failure injection for the simulated provider.
 //!
-//! [`SimFailures`] is the failure-domain sibling of
-//! [`SimLatency`](crate::SimLatency): it wraps any
-//! [`NonBlockingBackend`] and turns a seeded fraction of calls into
-//! [`CallStatus::Failed`] outcomes, with the verdict drawn **per
-//! submission index** from the injection seed — exactly the discipline
-//! `pfs::FaultPlan` applies to storage faults and `SimLatency` applies
-//! to latency. Two consequences make the schedule safe for the
-//! canonical-stream contract:
+//! A [`FailureInjection`] given to a [`SimTransport`] turns a seeded
+//! fraction of calls into [`CallStatus::Failed`] outcomes, with the
+//! verdict drawn **per submission index** from the injection seed —
+//! exactly the discipline `pfs::FaultPlan` applies to storage faults and
+//! the transport applies to latency. Two consequences make the schedule
+//! safe for the canonical-stream contract:
 //!
 //! * **Reproducible**: the verdict for submission `i` is a pure function
 //!   of `(seed, i)`. Same seed, same profile ⇒ the same calls fail with
 //!   the same errors, on every run, on every host.
 //! * **Latency-invariant**: latency changes how many times a call is
-//!   *polled*, never how many calls are *submitted*, so composing
-//!   `SimFailures<SimLatency<_>>` yields identical failure schedules
-//!   under any latency profile. This is what lets the CI determinism
-//!   matrix demand byte-identical canonical streams across serial,
-//!   parallel and injected-latency runs *with failures on*.
+//!   *polled*, never how many calls are *submitted*, so the transport
+//!   yields identical failure schedules under any latency profile. This
+//!   is what lets the CI determinism matrix demand byte-identical
+//!   canonical streams across serial, parallel and injected-latency runs
+//!   *with failures on*.
 //!
-//! A drawn failure surfaces on the poll where the inner backend first
-//! reports the call complete (so latency ticks still elapse first), and
-//! consumes the handle just as `Ready` would.
+//! A drawn failure surfaces on the first poll after the call's latency
+//! ticks are spent (so latency still elapses first), and consumes the
+//! handle just as `Ready` would.
+//!
+//! [`SimTransport`]: crate::SimTransport
+//! [`CallStatus::Failed`]: crate::CallStatus::Failed
 
-use crate::nonblocking::{
-    CallError, CallHandle, CallStatus, Immediate, LlmCall, NonBlockingBackend,
-};
+use crate::transport::CallError;
 use serde::{Deserialize, Serialize};
 use simcore::rng::combine;
 use simcore::SimRng;
-use std::collections::BTreeMap;
 
 /// Transient reason labels, drawn uniformly once a call is marked
 /// transient-failed. Fixed set: the labels feed canonical events.
@@ -112,142 +110,16 @@ impl FailureInjection {
     }
 }
 
-/// Deterministic seeded failure injection around any
-/// [`NonBlockingBackend`].
-///
-/// `submit` draws the call's verdict from the injection seed × the
-/// submission index, then forwards to the inner backend as usual. A call
-/// marked failed still travels the inner transport (latency ticks still
-/// elapse); when the inner backend first reports it complete, the poll
-/// returns [`CallStatus::Failed`] instead of the reply and the handle is
-/// consumed. Constructed [`transparent`](SimFailures::transparent), the
-/// wrapper is an exact pass-through, so callers can keep one transport
-/// type whether or not injection is configured.
-#[derive(Debug, Clone)]
-pub struct SimFailures<B = Immediate> {
-    inner: B,
-    injection: Option<FailureInjection>,
-    submitted: u64,
-    /// Our id → (inner handle, verdict drawn at submission).
-    pending: BTreeMap<u64, (CallHandle, Option<CallError>)>,
-}
-
-impl SimFailures<Immediate> {
-    /// Injection over the instant transport — the pure failure gate.
-    pub fn gate(injection: FailureInjection) -> Self {
-        SimFailures::wrapping(Immediate::new(), injection)
-    }
-}
-
-impl<B> SimFailures<B> {
-    /// Inject failures around `inner`.
-    pub fn wrapping(inner: B, injection: FailureInjection) -> Self {
-        SimFailures {
-            inner,
-            injection: Some(injection),
-            submitted: 0,
-            pending: BTreeMap::new(),
-        }
-    }
-
-    /// Wrap `inner` with injection disabled: every call passes through
-    /// untouched. Lets callers keep a single transport type.
-    pub fn transparent(inner: B) -> Self {
-        SimFailures {
-            inner,
-            injection: None,
-            submitted: 0,
-            pending: BTreeMap::new(),
-        }
-    }
-
-    /// The injection schedule in force (`None` = transparent).
-    pub fn injection(&self) -> Option<&FailureInjection> {
-        self.injection.as_ref()
-    }
-
-    /// The wrapped backend.
-    pub fn get_ref(&self) -> &B {
-        &self.inner
-    }
-
-    /// The wrapped backend, mutably.
-    pub fn get_mut(&mut self) -> &mut B {
-        &mut self.inner
-    }
-
-    /// Unwrap the inner backend, dropping any in-flight calls.
-    pub fn into_inner(self) -> B {
-        self.inner
-    }
-}
-
-impl<B: NonBlockingBackend> NonBlockingBackend for SimFailures<B> {
-    fn submit(&mut self, call: LlmCall) -> CallHandle {
-        let verdict = self
-            .injection
-            .as_ref()
-            .and_then(|inj| inj.draw(self.submitted));
-        let inner_handle = self.inner.submit(call);
-        let id = self.submitted;
-        self.submitted += 1;
-        self.pending.insert(id, (inner_handle, verdict));
-        CallHandle(id)
-    }
-
-    fn poll(&mut self, handle: CallHandle) -> CallStatus {
-        let (inner_handle, _) = self
-            .pending
-            .get(&handle.0)
-            .expect("polled unknown or already-completed call");
-        match self.inner.poll(*inner_handle) {
-            CallStatus::Pending => CallStatus::Pending,
-            CallStatus::Failed(err) => {
-                // The inner transport failed the call on its own; pass
-                // that through — our verdict is moot.
-                self.pending.remove(&handle.0);
-                CallStatus::Failed(err)
-            }
-            CallStatus::Ready(reply) => {
-                let (_, verdict) = self
-                    .pending
-                    .remove(&handle.0)
-                    .expect("entry present: just polled it");
-                match verdict {
-                    Some(err) => CallStatus::Failed(err),
-                    None => CallStatus::Ready(reply),
-                }
-            }
-        }
-    }
-
-    fn cancel(&mut self, handle: CallHandle) {
-        if let Some((inner_handle, _)) = self.pending.remove(&handle.0) {
-            self.inner.cancel(inner_handle);
-        }
-    }
-
-    fn in_flight(&self) -> usize {
-        self.pending.len()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::nonblocking::{LatencyProfile, LlmReply, SimLatency};
+    use crate::transport::{CallStatus, LatencyProfile, SimTransport};
 
-    fn turn(i: u32) -> LlmCall {
-        LlmCall::Turn {
-            context: format!("t{i}"),
-        }
-    }
-
-    /// Drive a freshly submitted call to completion, returning its status.
-    fn settle<B: NonBlockingBackend>(backend: &mut B, call: LlmCall) -> CallStatus {
-        let h = backend.submit(call);
+    /// Submit the next call and poll it until it concludes.
+    fn settle(t: &mut SimTransport) -> CallStatus {
+        let h = t.submit();
         loop {
-            match backend.poll(h) {
+            match t.poll(h) {
                 CallStatus::Pending => continue,
                 done => return done,
             }
@@ -272,29 +144,15 @@ mod tests {
     #[test]
     fn injected_verdicts_surface_on_poll() {
         let inj = FailureInjection::standard(7);
-        let mut gate = SimFailures::gate(inj);
+        let mut t = SimTransport::new(LatencyProfile::fixed(0), 0, Some(inj));
         for i in 0..64 {
-            let expected = inj.draw(i as u64);
-            match (settle(&mut gate, turn(i)), expected) {
-                (CallStatus::Ready(LlmReply::Done), None) => {}
+            match (settle(&mut t), inj.draw(i)) {
+                (CallStatus::Ready, None) => {}
                 (CallStatus::Failed(got), Some(want)) => assert_eq!(got, want, "call {i}"),
                 (got, want) => panic!("call {i}: got {got:?}, drew {want:?}"),
             }
         }
-        assert_eq!(gate.in_flight(), 0);
-    }
-
-    #[test]
-    fn transparent_mode_is_a_pass_through() {
-        let mut gate = SimFailures::transparent(Immediate::new());
-        assert!(gate.injection().is_none());
-        for i in 0..32 {
-            assert_eq!(
-                settle(&mut gate, turn(i)),
-                CallStatus::Ready(LlmReply::Done),
-                "call {i}"
-            );
-        }
+        assert_eq!(t.in_flight(), 0);
     }
 
     /// The failure schedule is keyed by submission index, so it is
@@ -304,8 +162,8 @@ mod tests {
     fn schedule_is_latency_invariant() {
         let inj = FailureInjection::standard(3);
         let statuses = |profile: LatencyProfile| -> Vec<CallStatus> {
-            let mut t = SimFailures::wrapping(SimLatency::gate(profile, 11), inj);
-            (0..48).map(|i| settle(&mut t, turn(i))).collect()
+            let mut t = SimTransport::new(profile, 11, Some(inj));
+            (0..48).map(|_| settle(&mut t)).collect()
         };
         let instant = statuses(LatencyProfile::fixed(0));
         assert_eq!(instant, statuses(LatencyProfile::fixed(3)));
@@ -319,16 +177,12 @@ mod tests {
         let failing = (0..)
             .find(|&i| inj.draw(i).is_some())
             .expect("standard mix fails eventually");
-        let mut t = SimFailures::wrapping(SimLatency::gate(LatencyProfile::fixed(2), 11), inj);
-        let mut last = None;
-        for i in 0..=failing {
-            let h = t.submit(turn(i as u32));
-            last = Some(h);
-            if i < failing {
-                while t.poll(h) == CallStatus::Pending {}
-            }
+        let mut t = SimTransport::new(LatencyProfile::fixed(2), 11, Some(inj));
+        for _ in 0..failing {
+            settle(&mut t);
         }
-        let h = last.expect("submitted at least one call");
+        let h = t.submit();
+        assert_eq!(h.id(), failing);
         assert_eq!(t.poll(h), CallStatus::Pending, "tick 1 still pending");
         assert_eq!(t.poll(h), CallStatus::Pending, "tick 2 still pending");
         assert!(
@@ -336,35 +190,6 @@ mod tests {
             "failure surfaces only after the budget"
         );
         assert_eq!(t.in_flight(), 0);
-    }
-
-    #[test]
-    fn cancel_kills_the_handle_through_the_wrapper() {
-        let mut t = SimFailures::wrapping(
-            SimLatency::gate(LatencyProfile::fixed(5), 1),
-            FailureInjection::standard(1),
-        );
-        let h = t.submit(turn(0));
-        assert_eq!(t.in_flight(), 1);
-        assert_eq!(t.get_ref().in_flight(), 1);
-        t.cancel(h);
-        assert_eq!(t.in_flight(), 0);
-        assert_eq!(t.get_ref().in_flight(), 0, "cancel propagates inward");
-        // Cancelling twice is a no-op, not a panic.
-        t.cancel(h);
-    }
-
-    #[test]
-    #[should_panic(expected = "already-completed")]
-    fn polling_a_consumed_handle_panics() {
-        let mut gate = SimFailures::gate(FailureInjection::standard(1));
-        let h = gate.submit(turn(0));
-        loop {
-            if gate.poll(h) != CallStatus::Pending {
-                break;
-            }
-        }
-        let _ = gate.poll(h);
     }
 
     #[test]

@@ -18,18 +18,16 @@
 //!   §5.7.
 //! * [`backend::SimLlm`] — the backend handle agents hold: fact queries,
 //!   discipline-modulated decision noise, and prompt/response accounting.
-//! * [`nonblocking`] — the submit/poll seam for providers that should not
-//!   pin a thread per call: [`nonblocking::NonBlockingBackend`], the
-//!   [`nonblocking::SyncAdapter`] blanket adapter over any sync backend,
-//!   and [`nonblocking::SimLatency`], deterministic seeded latency for
-//!   exercising suspension and call overlap in tests and benches.
-//! * [`failures`] — the failure domain of the same seam:
-//!   [`failures::SimFailures`] turns a seeded, submission-indexed fraction
-//!   of calls into [`nonblocking::CallStatus::Failed`] outcomes so retry
-//!   and isolation machinery can be exercised reproducibly.
+//! * [`transport::SimTransport`] — the simulated provider every agent
+//!   turn goes through: deterministic seeded latency, measured in poll
+//!   ticks, so sessions suspend instead of blocking and campaign workers
+//!   overlap in-flight calls without timers or nondeterminism.
+//! * [`failures`] — the failure domain of the same transport: a
+//!   [`failures::FailureInjection`] fails a seeded, submission-indexed
+//!   fraction of calls with [`transport::CallStatus::Failed`] so retry and
+//!   isolation machinery can be exercised reproducibly.
 //!
-//! Real providers can be substituted by implementing [`backend::LlmBackend`]
-//! (blocking) or [`nonblocking::NonBlockingBackend`] (submit/poll).
+//! Real providers can be substituted by implementing [`backend::LlmBackend`].
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
@@ -37,16 +35,13 @@
 pub mod backend;
 pub mod facts;
 pub mod failures;
-pub mod nonblocking;
 pub mod profiles;
 pub mod tokens;
+pub mod transport;
 
 pub use backend::{LlmBackend, SimLlm};
 pub use facts::{FactQuality, ParamFact};
-pub use failures::{FailureInjection, FailureProfile, SimFailures};
-pub use nonblocking::{
-    CallError, CallHandle, CallStatus, LatencyProfile, LlmCall, LlmReply, NonBlockingBackend,
-    SimLatency, SyncAdapter,
-};
+pub use failures::{FailureInjection, FailureProfile};
 pub use profiles::ModelProfile;
 pub use tokens::{estimate_tokens, PrefixCache, UsageMeter};
+pub use transport::{CallError, CallHandle, CallStatus, LatencyProfile, SimTransport};

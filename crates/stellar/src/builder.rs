@@ -126,11 +126,11 @@ impl StellarBuilder {
         self
     }
 
-    /// Inject deterministic seeded backend failures: a
-    /// [`llmsim::SimFailures`] layer turns the injection's fraction of
-    /// calls into [`llmsim::CallStatus::Failed`] outcomes, drawn per
-    /// submission index so the schedule is reproducible and
-    /// latency-invariant. Sessions retry transients under the engine's
+    /// Inject deterministic seeded backend failures: each session's
+    /// [`llmsim::SimTransport`] turns the injection's fraction of calls
+    /// into [`llmsim::CallStatus::Failed`] outcomes, drawn per submission
+    /// index so the schedule is reproducible and latency-invariant.
+    /// Sessions retry transients under the engine's
     /// [`crate::RetryPolicy`] and end in [`crate::SessionEvent::Failed`]
     /// when the budget is spent. Off by default (perfect backend).
     pub fn failures(mut self, injection: llmsim::FailureInjection) -> Self {
@@ -138,10 +138,10 @@ impl StellarBuilder {
         self
     }
 
-    /// How sessions respond to failed backend calls (attempt budget,
-    /// poll-tick backoff, optional pending-poll timeout). Defaults to
-    /// [`crate::RetryPolicy::default`]; only consulted when latency
-    /// and/or failures are injected.
+    /// How sessions respond to failed backend calls (attempt budget and
+    /// poll-tick backoff). Defaults to [`crate::RetryPolicy::default`];
+    /// only failures injected with [`StellarBuilder::failures`] ever
+    /// consume it.
     pub fn retry_policy(mut self, policy: crate::RetryPolicy) -> Self {
         self.options.retry = policy;
         self
@@ -208,7 +208,6 @@ mod tests {
         let policy = crate::RetryPolicy {
             max_attempts: 5,
             backoff_ticks: 2,
-            pending_timeout: Some(64),
         };
         let engine = StellarBuilder::new()
             .failures(injection)

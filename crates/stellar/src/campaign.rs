@@ -66,7 +66,7 @@
 //! as [`CellOutcome::Failed`]; sibling cells keep running, the failed
 //! cell's rules never merge, and the report accounts for it separately
 //! ([`CampaignReport::failed_cells`]). Failure verdicts are drawn per
-//! submission index ([`llmsim::SimFailures`]), so serial, parallel and
+//! submission index ([`llmsim::failures`]), so serial, parallel and
 //! latency-injected runs of a failure-injected grid still produce
 //! byte-identical canonical streams (`tests/integration_failures.rs`).
 //!

@@ -50,14 +50,13 @@ pub struct StellarOptions {
     pub tuning: TuningOptions,
     /// Run-seed derivation policy.
     pub seed_policy: SeedPolicy,
-    /// When set, every agent turn goes through a non-blocking
-    /// [`llmsim::SimLatency`] gate with this profile: sessions suspend
-    /// ([`crate::SessionEvent::Waiting`]) instead of blocking while the
-    /// simulated provider call is in flight, and campaign workers
-    /// multiplex suspended cells. `None` (the default) keeps the
-    /// historical instant-backend behaviour. Results are bit-identical
-    /// either way — latency changes *when* work happens, never what it
-    /// computes.
+    /// The latency of each session's [`llmsim::SimTransport`], the
+    /// simulated provider every agent turn goes through. When set,
+    /// sessions suspend ([`crate::SessionEvent::Waiting`]) instead of
+    /// blocking while a call is in flight, and campaign workers multiplex
+    /// suspended cells. `None` (the default) is an instant provider: every
+    /// call completes on its first poll. Results are bit-identical either
+    /// way — latency changes *when* work happens, never what it computes.
     pub backend_latency: Option<llmsim::LatencyProfile>,
     /// When set, every simulated run executes under this [`pfs::FaultPlan`]:
     /// OST service times scale by the plan's piecewise-constant degradation
@@ -65,16 +64,16 @@ pub struct StellarOptions {
     /// their rule contexts "degraded-topology" so knowledge learned here
     /// shards separately from pristine runs. `None` is a pristine cluster.
     pub faults: Option<pfs::FaultPlan>,
-    /// When set, agent turns can fail: a seeded
-    /// [`llmsim::SimFailures`] injector turns a deterministic fraction of
-    /// backend calls into [`llmsim::CallStatus::Failed`] outcomes
-    /// (per-session streams derive from this injection's seed × the run
-    /// seed). Sessions retry transients under [`StellarOptions::retry`]
-    /// and end in [`crate::SessionEvent::Failed`] when the budget is
-    /// spent. `None` (the default) is a perfect backend.
+    /// When set, agent turns can fail: each session's
+    /// [`llmsim::SimTransport`] turns a deterministic fraction of backend
+    /// calls into [`llmsim::CallStatus::Failed`] outcomes (per-session
+    /// streams derive from this injection's seed × the run seed).
+    /// Sessions retry transients under [`StellarOptions::retry`] and end
+    /// in [`crate::SessionEvent::Failed`] when the budget is spent.
+    /// `None` (the default) is a perfect backend.
     pub failures: Option<llmsim::FailureInjection>,
-    /// How sessions respond to failed backend calls. Only consulted when
-    /// a transport gate exists (latency and/or failures injected).
+    /// How sessions respond to failed backend calls. Only failures
+    /// injected through [`StellarOptions::failures`] ever consume it.
     pub retry: crate::session::RetryPolicy,
 }
 

@@ -1435,10 +1435,6 @@ mod tests {
 
     /// A handle for tests: round-trips through the only public surface.
     fn dummy_handle() -> CallHandle {
-        use llmsim::{LatencyProfile, LlmCall, NonBlockingBackend, SimLatency};
-        let mut gate = SimLatency::gate(LatencyProfile::fixed(1), 1);
-        gate.submit(LlmCall::Turn {
-            context: "t".into(),
-        })
+        llmsim::SimTransport::new(llmsim::LatencyProfile::fixed(1), 1, None).submit()
     }
 }

@@ -19,12 +19,12 @@
 //!   the next agent decision with a caller-supplied reason, and the attempt
 //!   budget rides in `TuningOptions::max_attempts` (settable through
 //!   `StellarBuilder::attempt_budget`);
-//! * **suspension** — when the engine carries a
-//!   [`llmsim::LatencyProfile`] (`StellarBuilder::backend_latency`, CLI
-//!   `--backend-latency`), every agent turn goes through a non-blocking
-//!   [`llmsim::SimLatency`] gate: [`TuningSession::step`] returns
-//!   [`SessionEvent::Waiting`] instead of blocking while the simulated
-//!   provider call is in flight, with all agent state intact. The caller
+//! * **suspension** — every agent turn is a call through the session's
+//!   [`llmsim::SimTransport`], the simulated provider. When the engine
+//!   carries a [`llmsim::LatencyProfile`] (`StellarBuilder::backend_latency`,
+//!   CLI `--backend-latency`), [`TuningSession::step`] returns
+//!   [`SessionEvent::Waiting`] instead of blocking while that call is in
+//!   flight, with all agent state intact. The caller
 //!   keeps stepping (each step polls the call once) and the session
 //!   resumes by itself when the call completes — the seam the campaign
 //!   worker loop multiplexes suspended cells over. Waiting is a
@@ -41,7 +41,7 @@
 //!   [`RunObserver::on_retry`]); a fatal error or an exhausted budget
 //!   ends the session with a structured [`SessionError`] and the terminal
 //!   [`SessionEvent::Failed`] — never a panic. Because failure verdicts
-//!   are drawn per *submission index* (see [`llmsim::SimFailures`]),
+//!   are drawn per *submission index* (see [`llmsim::failures`]),
 //!   retry schedules are identical under any latency profile, which
 //!   keeps the canonical stream byte-identical across execution shapes
 //!   even with injection on.
@@ -53,8 +53,8 @@ use agents::{
 };
 use darshan::Table;
 use llmsim::{
-    CallError, CallHandle, CallStatus, FailureInjection, LatencyProfile, LlmBackend, LlmCall,
-    NonBlockingBackend, SimFailures, SimLatency, SimLlm, UsageMeter,
+    CallError, CallHandle, CallStatus, FailureInjection, LatencyProfile, LlmBackend, SimLlm,
+    SimTransport, UsageMeter,
 };
 use pfs::params::{ParamRegistry, TuningConfig};
 use serde::{Deserialize, Serialize};
@@ -65,11 +65,7 @@ use workloads::Workload;
 /// How a session treats [`llmsim::CallStatus::Failed`] backend calls.
 ///
 /// Budgets are measured in the session's own deterministic units: attempts
-/// per logical call and backoff in poll ticks, never wall time. The
-/// pending-poll timeout is **off by default** because, unlike the
-/// failure-verdict stream, it keys off *poll counts*, which the latency
-/// profile changes — enabling it trades the cross-latency byte-equality
-/// guarantee for bounded pending time (per-run determinism still holds).
+/// per logical call and backoff in poll ticks, never wall time.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct RetryPolicy {
     /// Total submissions allowed per logical call, first try included.
@@ -78,10 +74,6 @@ pub struct RetryPolicy {
     /// Polls to sit out after a transient failure before the resubmitted
     /// call is first polled.
     pub backoff_ticks: u32,
-    /// Cancel-and-resubmit a call still pending after this many polls,
-    /// consuming one attempt (so a transport that never completes cannot
-    /// loop forever). `None` = wait indefinitely.
-    pub pending_timeout: Option<u32>,
 }
 
 impl Default for RetryPolicy {
@@ -89,7 +81,6 @@ impl Default for RetryPolicy {
         RetryPolicy {
             max_attempts: 3,
             backoff_ticks: 1,
-            pending_timeout: None,
         }
     }
 }
@@ -103,15 +94,11 @@ impl RetryPolicy {
     /// Canonical label for run records
     /// (e.g. `"3 attempt(s), backoff 1 tick(s)"`).
     pub fn label(&self) -> String {
-        let mut label = format!(
+        format!(
             "{} attempt(s), backoff {} tick(s)",
             self.attempt_budget(),
             self.backoff_ticks
-        );
-        if let Some(t) = self.pending_timeout {
-            label.push_str(&format!(", timeout {t} poll(s)"));
-        }
-        label
+        )
     }
 }
 
@@ -193,8 +180,9 @@ pub enum SessionEvent {
     /// this step. The session is suspended — step again to poll the call
     /// (each step burns one latency tick) until it completes, or run
     /// other work in between: all agent state is retained. Only produced
-    /// when the engine injects backend latency; observers hear about it
-    /// via [`RunObserver::on_waiting`], not `on_event`.
+    /// when the engine injects backend latency or a retry backs off;
+    /// observers hear about it via [`RunObserver::on_waiting`], not
+    /// `on_event`.
     Waiting {
         /// Handle of the in-flight call.
         call: CallHandle,
@@ -296,24 +284,21 @@ enum GateStatus {
     Failed(SessionError),
 }
 
-/// The non-blocking transport gate an agent turn must clear before it
-/// executes. One call in flight at a time — a session is a single logical
-/// conversation; overlap comes from multiplexing *sessions*, not calls.
-///
-/// The transport stacks the failure domain over the latency domain:
-/// `SimFailures<SimLatency>` draws each call's failure verdict at
-/// submission and its tick budget independently, so the failure schedule
-/// is latency-invariant (see the module docs).
+/// The gate an agent turn must clear before it executes: the turn's call
+/// through the session's [`SimTransport`], retried under the
+/// [`RetryPolicy`]. One call in flight at a time — a session is a single
+/// logical conversation; overlap comes from multiplexing *sessions*, not
+/// calls. The transport draws each call's tick budget and failure verdict
+/// from its submission index, so the failure schedule is
+/// latency-invariant (see the module docs).
 struct Gate {
-    transport: SimFailures<SimLatency>,
+    transport: SimTransport,
     policy: RetryPolicy,
     pending: Option<CallHandle>,
     /// Turn label of the in-flight logical call.
     context: String,
     /// 1-based submission number of the in-flight attempt.
     attempt: u32,
-    /// Polls spent on the current submission (pending-timeout clock).
-    polls: u32,
     /// Polls still to sit out before a resubmitted call is polled.
     backoff_left: u32,
     turns: u64,
@@ -343,25 +328,12 @@ impl Gate {
                 retry: None,
             };
         }
-        // Pending-poll timeout: cancel and resubmit, consuming an attempt
-        // (a transport that never completes cannot loop forever).
-        if let Some(limit) = self.policy.pending_timeout {
-            if self.polls >= limit {
-                self.transport.cancel(handle);
-                self.pending = None;
-                let error = CallError::Transient {
-                    reason: "pending-poll timeout".to_string(),
-                };
-                return self.retry_or_fail(error);
-            }
-        }
-        self.polls += 1;
         match self.transport.poll(handle) {
             CallStatus::Pending => GateStatus::Waiting {
                 call: handle,
                 retry: None,
             },
-            CallStatus::Ready(_) => {
+            CallStatus::Ready => {
                 self.pending = None;
                 GateStatus::Clear
             }
@@ -380,11 +352,8 @@ impl Gate {
 
     /// Submit (or resubmit) the current logical call.
     fn submit_attempt(&mut self) -> CallHandle {
-        let h = self.transport.submit(LlmCall::Turn {
-            context: self.context.clone(),
-        });
+        let h = self.transport.submit();
         self.pending = Some(h);
-        self.polls = 0;
         h
     }
 
@@ -426,7 +395,7 @@ pub struct TuningSession<'a> {
     analysis_backend: SimLlm,
     tuning_backend: SimLlm,
     observers: Vec<Box<dyn RunObserver + 'a>>,
-    gate: Option<Gate>,
+    gate: Gate,
     phase: Phase,
     // Run state, filled as phases progress.
     default_cfg: TuningConfig,
@@ -496,37 +465,29 @@ impl<'a> TuningSession<'a> {
         }
     }
 
-    /// The transport gate, built when the engine injects latency and/or
-    /// failures (instant latency when only failures are configured).
-    /// Seeded per cell: a session's latency *and* failure sequences are
-    /// pure functions of its run seed, independent of sibling cells.
-    fn build_gate(engine: &Stellar, run_seed: u64) -> Option<Gate> {
+    /// The session's gate. Seeded per cell: a session's latency *and*
+    /// failure sequences are pure functions of its run seed, independent
+    /// of sibling cells. An engine that injects nothing gets an instant,
+    /// failure-free transport, which clears every turn on its first poll.
+    fn build_gate(engine: &Stellar, run_seed: u64) -> Gate {
         let options = engine.options();
-        if options.backend_latency.is_none() && options.failures.is_none() {
-            return None;
-        }
-        let latency = options.backend_latency.unwrap_or(LatencyProfile::fixed(0));
-        let inner = SimLatency::gate(latency, combine(run_seed, 3));
-        let transport = match options.failures {
-            Some(injection) => SimFailures::wrapping(
-                inner,
-                FailureInjection {
-                    seed: combine(combine(run_seed, 4), injection.seed),
-                    profile: injection.profile,
-                },
+        let injection = options.failures.map(|injection| FailureInjection {
+            seed: combine(combine(run_seed, 4), injection.seed),
+            profile: injection.profile,
+        });
+        Gate {
+            transport: SimTransport::new(
+                options.backend_latency.unwrap_or(LatencyProfile::fixed(0)),
+                combine(run_seed, 3),
+                injection,
             ),
-            None => SimFailures::transparent(inner),
-        };
-        Some(Gate {
-            transport,
             policy: options.retry,
             pending: None,
             context: String::new(),
             attempt: 0,
-            polls: 0,
             backoff_left: 0,
             turns: 0,
-        })
+        }
     }
 
     /// Attach an observer. Multiple observers receive events in attachment
@@ -560,18 +521,19 @@ impl<'a> TuningSession<'a> {
         self.failed.as_ref()
     }
 
-    /// Backend calls currently in flight through the session's transport
-    /// gate (0 without injected latency/failures, and always 0 once the
-    /// session has ended — aborts cancel the pending call).
+    /// Backend calls currently in flight through the session's transport:
+    /// 0 or 1, and 1 only while the session is suspended on a call. So
+    /// always 0 when the engine injects neither latency nor failures, and
+    /// once the session has ended (aborts cancel the pending call).
     pub fn in_flight(&self) -> usize {
-        self.gate.as_ref().map_or(0, |g| g.transport.in_flight())
+        self.gate.transport.in_flight()
     }
 
     /// Whether the session is suspended on an in-flight backend call —
     /// i.e. the last [`TuningSession::step`] returned
     /// [`SessionEvent::Waiting`] and the call has not completed since.
     pub fn is_waiting(&self) -> bool {
-        self.gate.as_ref().is_some_and(|g| g.pending.is_some())
+        self.gate.pending.is_some()
     }
 
     /// Attempts executed so far.
@@ -648,8 +610,8 @@ impl<'a> TuningSession<'a> {
         event
     }
 
-    /// Non-blocking seam: phases that spend agent turns (analysis, every
-    /// drive decision) must clear the transport gate first. The initial
+    /// Phases that spend agent turns (analysis, every drive decision)
+    /// must clear the gate first. The initial
     /// default run is simulator work, not an LLM call, so `Phase::Start`
     /// never gates; an abort abandons the in-flight call so the session
     /// ends without waiting it out.
@@ -657,19 +619,15 @@ impl<'a> TuningSession<'a> {
         if !matches!(self.phase, Phase::Analyze | Phase::Drive) {
             return GateStatus::Clear;
         }
-        let aborting = self.abort_reason.is_some();
-        let Some(gate) = self.gate.as_mut() else {
-            return GateStatus::Clear;
-        };
-        if aborting {
-            gate.cancel_pending();
+        if self.abort_reason.is_some() {
+            self.gate.cancel_pending();
             return GateStatus::Clear;
         }
         let label = match self.phase {
             Phase::Analyze => "analyze",
             _ => "drive",
         };
-        gate.acquire(label)
+        self.gate.acquire(label)
     }
 
     /// Record the structured error and enter the terminal failed state.
@@ -1203,7 +1161,6 @@ mod tests {
             .retry_policy(RetryPolicy {
                 max_attempts: 3,
                 backoff_ticks: 1,
-                pending_timeout: None,
             })
             .build();
         let w = WorkloadKind::Ior16M.spec().scaled(0.08);
@@ -1286,7 +1243,6 @@ mod tests {
                 .retry_policy(RetryPolicy {
                     max_attempts: 10,
                     backoff_ticks: 1,
-                    pending_timeout: None,
                 });
             if let Some(profile) = latency {
                 builder = builder.backend_latency(profile);
@@ -1319,29 +1275,5 @@ mod tests {
         assert_eq!(events_a, events_c);
         assert_eq!(run_a.best_wall.to_bits(), run_c.best_wall.to_bits());
         assert_eq!(run_a.tuning_usage, run_c.tuning_usage);
-    }
-
-    /// The pending-poll timeout cancels a stuck call, resubmits, and
-    /// consumes an attempt — so a transport that outlasts every budgeted
-    /// attempt fails the session instead of hanging it.
-    #[test]
-    fn pending_timeout_consumes_the_budget() {
-        let engine = StellarBuilder::new()
-            .backend_latency(llmsim::LatencyProfile::fixed(100))
-            .retry_policy(RetryPolicy {
-                max_attempts: 2,
-                backoff_ticks: 0,
-                pending_timeout: Some(5),
-            })
-            .build();
-        let w = WorkloadKind::Ior16M.spec().scaled(0.08);
-        let session = engine.session(w.as_ref(), RuleSet::new(), 7);
-        let outcome = session.drain_outcome();
-        let SessionOutcome::Failed(SessionError::RetriesExhausted { attempts, last, .. }) = outcome
-        else {
-            panic!("expected RetriesExhausted via timeout, got {outcome:?}");
-        };
-        assert_eq!(attempts, 2);
-        assert_eq!(last.reason(), "pending-poll timeout");
     }
 }

@@ -177,7 +177,6 @@ fn retry_exhaustion_fails_the_session_without_panicking() {
         .retry_policy(RetryPolicy {
             max_attempts: 2,
             backoff_ticks: 1,
-            pending_timeout: None,
         })
         .build();
     let w = WorkloadKind::Ior16M.spec().scaled(0.08);
