@@ -202,3 +202,135 @@ fn warm_campaign_matches_hand_built_reference() {
         assert_eq!(report.rules, store.to_rule_set(), "{tag}: final rules");
     }
 }
+
+/// The `(parameter, value)` pairs a transcript applied from accumulated
+/// rules, in order. Rationale lines read `- {parameter}: applying
+/// accumulated rule: {description} -> {value}`.
+fn applied_rules(transcript: &[String]) -> Vec<(String, i64)> {
+    transcript
+        .iter()
+        .flat_map(|entry| entry.lines())
+        .filter(|line| line.contains("applying accumulated rule"))
+        .map(|line| {
+            let (param, rest) = line
+                .trim_start_matches("- ")
+                .split_once(": ")
+                .expect("rationale line names its parameter");
+            let (_, value) = rest.rsplit_once(" -> ").expect("applied value");
+            (param.to_string(), value.parse().expect("integer value"))
+        })
+        .collect()
+}
+
+/// Pins pristine warm rule reuse across commits. Round two of a serial
+/// warm campaign applies round one's rules with exactly these values and
+/// finishes in exactly these attempts; a warm `Stellar::tune` pair, which
+/// hands the session a flat `RuleSet`, does the same. The hand-built
+/// reference test cannot catch a change here, because it rebuilds its
+/// reference from the same session code.
+#[test]
+fn pristine_warm_rule_reuse_is_pinned() {
+    type Pin = (&'static str, usize, u64, &'static [(&'static str, i64)]);
+    const ROUND_TWO: [Pin; 3] = [
+        (
+            "IOR_16M",
+            1,
+            0x3fde_6eec_cf43_1622,
+            &[
+                ("stripe_count", -1),
+                ("stripe_size", 16_777_216),
+                ("osc.max_pages_per_rpc", 2048),
+                ("osc.max_rpcs_in_flight", 64),
+                ("osc.max_dirty_mb", 512),
+                ("llite.max_read_ahead_mb", 1024),
+                ("llite.max_read_ahead_per_file_mb", 512),
+            ],
+        ),
+        (
+            "MDWorkbench_2K",
+            1,
+            0x3fd5_d7b4_51ab_c43f,
+            &[
+                ("llite.statahead_max", 8192),
+                ("mdc.max_rpcs_in_flight", 128),
+                ("mdc.max_mod_rpcs_in_flight", 127),
+                ("llite.max_read_ahead_whole_mb", 16),
+                ("osc.short_io_bytes", 16384),
+            ],
+        ),
+        (
+            "IO500",
+            1,
+            0x3fc9_21ae_6a4f_eec5,
+            &[
+                ("stripe_count", -1),
+                ("stripe_size", 2_097_152),
+                ("osc.max_rpcs_in_flight", 128),
+                ("osc.max_dirty_mb", 1024),
+                ("osc.max_pages_per_rpc", 4096),
+                ("llite.max_read_ahead_mb", 512),
+                ("llite.max_read_ahead_per_file_mb", 256),
+                ("llite.statahead_max", 8192),
+                ("mdc.max_rpcs_in_flight", 64),
+                ("mdc.max_mod_rpcs_in_flight", 63),
+            ],
+        ),
+    ];
+    const TUNE_SEED_2: Pin = (
+        "IOR_16M",
+        2,
+        0x3fdb_7b84_eaa4_bdd4,
+        &[
+            ("stripe_count", -1),
+            ("stripe_size", 16_777_216),
+            ("osc.max_pages_per_rpc", 1024),
+            ("osc.max_rpcs_in_flight", 128),
+            ("osc.max_dirty_mb", 256),
+            ("llite.max_read_ahead_mb", 512),
+            ("llite.max_read_ahead_per_file_mb", 256),
+            ("stripe_count", -1),
+            ("stripe_size", 16_777_216),
+            ("osc.max_pages_per_rpc", 2048),
+            ("osc.max_rpcs_in_flight", 128),
+            ("osc.max_dirty_mb", 512),
+            ("llite.max_read_ahead_mb", 1024),
+            ("llite.max_read_ahead_per_file_mb", 512),
+        ],
+    );
+    let check = |run: &stellar::TuningRun, (workload, attempts, best_wall, applied): Pin| {
+        assert_eq!(run.workload, workload);
+        assert_eq!(run.attempts.len(), attempts, "{workload}: attempts");
+        assert_eq!(run.best_wall.to_bits(), best_wall, "{workload}: best_wall");
+        let want: Vec<(String, i64)> = applied.iter().map(|&(p, v)| (p.to_string(), v)).collect();
+        assert_eq!(
+            applied_rules(&run.transcript),
+            want,
+            "{workload}: applied rules"
+        );
+    };
+
+    let engine = StellarBuilder::new().attempt_budget(3).build();
+    let grid = [
+        WorkloadKind::Ior16M,
+        WorkloadKind::MdWorkbench2K,
+        WorkloadKind::Io500,
+    ];
+    let report = Campaign::new(&engine)
+        .kinds(&grid, 0.05)
+        .seeds([51, 52])
+        .rule_mode(RuleMode::Warm)
+        .run_serial();
+    assert_eq!(report.cells.len(), 2 * grid.len());
+    for (cell, pin) in report.cells[grid.len()..].iter().zip(ROUND_TWO) {
+        check(
+            cell.run().expect("perfect backend: every cell finishes"),
+            pin,
+        );
+    }
+    assert_eq!(report.rules.len(), 24, "final rule count");
+
+    let mut rules = RuleSet::new();
+    let w = WorkloadKind::Ior16M.spec_at(0.05);
+    engine.tune(w.as_ref(), &mut rules, 1);
+    check(&engine.tune(w.as_ref(), &mut rules, 2), TUNE_SEED_2);
+}
