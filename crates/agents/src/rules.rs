@@ -409,16 +409,6 @@ impl RuleSet {
             }
         }
     }
-
-    /// Drop an alternative that produced a negative outcome when tried
-    /// (§4.4.2's outcome-based pruning).
-    pub fn prune_negative(&mut self, parameter: &str, guidance: Guidance, tags: &[ContextTag]) {
-        self.rules.retain(|r| {
-            !(r.parameter == parameter
-                && r.guidance() == Some(guidance)
-                && r.match_score(tags) >= 0.99)
-        });
-    }
 }
 
 #[cfg(test)]
@@ -600,31 +590,6 @@ mod tests {
             &md_tags(),
         )]);
         assert_eq!(rs.len(), 2, "different contexts never conflict");
-    }
-
-    #[test]
-    fn prune_negative_drops_alternative() {
-        let mut rs = RuleSet::new();
-        rs.merge(vec![
-            Rule::new(
-                "osc.max_dirty_mb",
-                Guidance::RaiseToAtLeast(256),
-                &seq_tags(),
-            ),
-            Rule::new(
-                "osc.max_dirty_mb",
-                Guidance::RaiseToAtLeast(1024),
-                &seq_tags(),
-            ),
-        ]);
-        assert_eq!(rs.len(), 2);
-        rs.prune_negative(
-            "osc.max_dirty_mb",
-            Guidance::RaiseToAtLeast(1024),
-            &seq_tags(),
-        );
-        assert_eq!(rs.len(), 1);
-        assert_eq!(rs.rules[0].guidance(), Some(Guidance::RaiseToAtLeast(256)));
     }
 
     #[test]

@@ -26,9 +26,7 @@
 //! Accumulation order is preserved via per-rule sequence numbers, so
 //! [`ShardedRuleStore::to_rule_set`] round-trips bit-identically through
 //! the façade and snapshot matching returns rules in the exact order the
-//! flat [`RuleSet::matching`] would. Stores from different clusters
-//! federate with [`ShardedRuleStore::merge_from`], which keeps each
-//! store's topology bucket so cross-cluster knowledge never collides.
+//! flat [`RuleSet::matching`] would.
 //!
 //! ```
 //! use agents::{ContextTag, Guidance, Rule, RuleSet, ShardedRuleStore};
@@ -53,10 +51,10 @@
 //!
 //! // The flat RuleSet façade round-trips in accumulation order.
 //! let flat: RuleSet = store.to_rule_set();
-//! assert_eq!(ShardedRuleStore::from_rule_set(&flat).to_rule_set(), flat);
+//! assert_eq!(ShardedRuleStore::new().with_rules(&flat).to_rule_set(), flat);
 //! ```
 
-use crate::rules::{ContextTag, Guidance, Rule, RuleSet};
+use crate::rules::{ContextTag, Rule, RuleSet};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -115,21 +113,6 @@ impl ShardSignature {
             return 0.0;
         }
         f64::from((self.tag_mask & workload_mask).count_ones()) / f64::from(mine)
-    }
-
-    /// Stable 64-bit hash of the signature (FNV-1a over bucket and mask),
-    /// for callers that key external storage by shard.
-    pub fn hash64(self) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for b in [
-            self.topo_bucket,
-            (self.tag_mask & 0xff) as u8,
-            (self.tag_mask >> 8) as u8,
-        ] {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x100_0000_01b3);
-        }
-        h
     }
 
     /// Human-readable label: the tag phrases (or "untagged").
@@ -213,22 +196,16 @@ impl ShardedRuleStore {
         }
     }
 
-    /// Partition a flat rule set into shards **without** re-running merge
-    /// semantics, preserving accumulation order exactly — the inverse of
-    /// [`ShardedRuleStore::to_rule_set`].
-    pub fn from_rule_set(rules: &RuleSet) -> Self {
-        Self::new().with_rules(rules)
-    }
-
     /// Absorb a flat rule set verbatim (order-preserving, no merging),
-    /// attributing every rule to this store's topology bucket.
+    /// attributing every rule to this store's topology bucket — the
+    /// inverse of [`ShardedRuleStore::to_rule_set`].
     pub fn with_rules(mut self, rules: &RuleSet) -> Self {
         self.insert_unmerged(rules.rules.iter().cloned());
         self
     }
 
     /// Append rules verbatim (no merge semantics), consuming them —
-    /// shared by the borrowing façade paths and the owned
+    /// shared by [`ShardedRuleStore::with_rules`] and the owned
     /// `From<RuleSet>` conversion, which must not clone a second time.
     fn insert_unmerged(&mut self, rules: impl IntoIterator<Item = Rule>) {
         let shards = Arc::make_mut(&mut self.shards);
@@ -280,69 +257,54 @@ impl ShardedRuleStore {
         if new_rules.is_empty() {
             return;
         }
-        let topo_bucket = self.topo_bucket;
         let shards = Arc::make_mut(&mut self.shards);
         for new in new_rules {
-            let sig = ShardSignature::of_rule(topo_bucket, &new);
-            merge_rule_into(shards, sig, new, &mut self.next_seq, &mut self.len);
-        }
-    }
-
-    /// Federate another store into this one, **keeping the other store's
-    /// shard signatures**: rules learned on a differently sized cluster
-    /// retain their own topology bucket and therefore never dedup or
-    /// conflict with this store's — the separation the bucket exists for.
-    /// Rules arriving under an already-present signature go through the
-    /// normal §4.4.2 merge within that shard. Deterministic: shards in
-    /// key order, rules in accumulation order.
-    pub fn merge_from(&mut self, other: &ShardedRuleStore) {
-        let shards = Arc::make_mut(&mut self.shards);
-        for (sig, shard) in other.shards.iter() {
-            for r in shard.iter() {
-                merge_rule_into(
-                    shards,
-                    *sig,
-                    r.rule.clone(),
-                    &mut self.next_seq,
-                    &mut self.len,
-                );
+            let sig = ShardSignature::of_rule(self.topo_bucket, &new);
+            let shard = Arc::make_mut(shards.entry(sig).or_default());
+            // Untagged rules land in the mask-0 shard and — like the flat
+            // merge, whose `same_context` rejects empty tag sets — never
+            // dedup or conflict: append directly.
+            let mut drop_new = false;
+            if sig.tag_mask != 0 {
+                let new_guidance = new.guidance();
+                let mut remove_existing: Vec<usize> = Vec::new();
+                for (i, old) in shard.iter().enumerate() {
+                    if old.rule.parameter != new.parameter {
+                        continue;
+                    }
+                    // Shard membership implies equal, non-empty tag sets,
+                    // so the flat merge's `same_context` holds by
+                    // construction.
+                    match (old.rule.guidance(), new_guidance) {
+                        (Some(a), Some(b)) if a == b => {
+                            drop_new = true; // exact duplicate
+                        }
+                        (Some(a), Some(b)) if a.conflicts_with(b) => {
+                            // Hard conflict: remove both (the paper's rule).
+                            remove_existing.push(i);
+                            drop_new = true;
+                        }
+                        // Slight variation: keep both as alternatives.
+                        _ => {}
+                    }
+                }
+                for i in remove_existing.into_iter().rev() {
+                    shard.remove(i);
+                    self.len -= 1;
+                }
             }
-        }
-    }
-
-    /// Outcome-based pruning ([`RuleSet::prune_negative`]), copying only
-    /// the shards that actually contain a match.
-    pub fn prune_negative(&mut self, parameter: &str, guidance: Guidance, tags: &[ContextTag]) {
-        let hits = |r: &SeqRule| {
-            r.rule.parameter == parameter
-                && r.rule.guidance() == Some(guidance)
-                && r.rule.match_score(tags) >= 0.99
-        };
-        let shards = Arc::make_mut(&mut self.shards);
-        let mut emptied = Vec::new();
-        for (sig, shard) in shards.iter_mut() {
-            if !shard.iter().any(hits) {
-                continue; // leave untouched shards shared with snapshots
+            if !drop_new {
+                shard.push(SeqRule {
+                    seq: self.next_seq,
+                    rule: new,
+                });
+                self.next_seq += 1;
+                self.len += 1;
             }
-            let shard = Arc::make_mut(shard);
-            let before = shard.len();
-            shard.retain(|r| !hits(r));
-            self.len -= before - shard.len();
             if shard.is_empty() {
-                emptied.push(*sig);
+                shards.remove(&sig);
             }
         }
-        for sig in emptied {
-            shards.remove(&sig);
-        }
-    }
-
-    /// Rules matching a workload's tags with score ≥ 0.6, best first — the
-    /// same rules, in the same order, as [`RuleSet::matching`] on the
-    /// flattened set. Shards whose signature scores below the threshold
-    /// are skipped wholesale.
-    pub fn matching(&self, workload_tags: &[ContextTag]) -> Vec<&Rule> {
-        matching_in(&self.shards, workload_tags)
     }
 
     /// Per-shard occupancy, in shard-key order (for introspection — the
@@ -359,98 +321,9 @@ impl ShardedRuleStore {
 
     /// Flatten back into the paper's [`RuleSet`] façade, in exact
     /// accumulation order (bit-identical round trip with
-    /// [`ShardedRuleStore::from_rule_set`]).
+    /// [`ShardedRuleStore::with_rules`]).
     pub fn to_rule_set(&self) -> RuleSet {
-        to_rule_set_in(&self.shards)
-    }
-}
-
-/// One §4.4.2 merge step into the shard keyed by `sig` — the body shared
-/// by [`ShardedRuleStore::merge`] (own-bucket signatures) and
-/// [`ShardedRuleStore::merge_from`] (foreign-bucket signatures).
-fn merge_rule_into(
-    shards: &mut ShardMap,
-    sig: ShardSignature,
-    new: Rule,
-    next_seq: &mut u64,
-    len: &mut usize,
-) {
-    // Untagged rules land in the mask-0 shard and — like the flat merge,
-    // whose `same_context` rejects empty tag sets — never dedup or
-    // conflict: append directly.
-    if sig.tag_mask == 0 {
-        Arc::make_mut(shards.entry(sig).or_default()).push(SeqRule {
-            seq: *next_seq,
-            rule: new,
-        });
-        *next_seq += 1;
-        *len += 1;
-        return;
-    }
-    let new_guidance = new.guidance();
-    let shard = Arc::make_mut(shards.entry(sig).or_default());
-    let mut drop_new = false;
-    let mut remove_existing: Vec<usize> = Vec::new();
-    for (i, old) in shard.iter().enumerate() {
-        if old.rule.parameter != new.parameter {
-            continue;
-        }
-        // Shard membership implies equal, non-empty tag sets, so the
-        // flat merge's `same_context` holds by construction.
-        match (old.rule.guidance(), new_guidance) {
-            (Some(a), Some(b)) if a == b => {
-                drop_new = true; // exact duplicate
-            }
-            (Some(a), Some(b)) if a.conflicts_with(b) => {
-                // Hard conflict: remove both (the paper's rule).
-                remove_existing.push(i);
-                drop_new = true;
-            }
-            // Slight variation: keep both as alternatives.
-            _ => {}
-        }
-    }
-    for i in remove_existing.into_iter().rev() {
-        shard.remove(i);
-        *len -= 1;
-    }
-    if !drop_new {
-        shard.push(SeqRule {
-            seq: *next_seq,
-            rule: new,
-        });
-        *next_seq += 1;
-        *len += 1;
-    }
-    if shard.is_empty() {
-        shards.remove(&sig);
-    }
-}
-
-fn matching_in<'s>(shards: &'s ShardMap, workload_tags: &[ContextTag]) -> Vec<&'s Rule> {
-    let workload_mask = ContextTag::mask_of(workload_tags);
-    let mut scored: Vec<(f64, u64, &Rule)> = Vec::new();
-    for (sig, shard) in shards.iter() {
-        let score = sig.score_against(workload_mask);
-        if score < 0.6 {
-            continue;
-        }
-        scored.extend(shard.iter().map(|r| (score, r.seq, &r.rule)));
-    }
-    // Score descending, accumulation order among ties — matching the flat
-    // RuleSet's stable sort.
-    scored.sort_by(|a, b| b.0.total_cmp(&a.0).then(a.1.cmp(&b.1)));
-    scored.into_iter().map(|(_, _, r)| r).collect()
-}
-
-fn to_rule_set_in(shards: &ShardMap) -> RuleSet {
-    let mut seq: Vec<(u64, &Rule)> = shards
-        .values()
-        .flat_map(|shard| shard.iter().map(|r| (r.seq, &r.rule)))
-        .collect();
-    seq.sort_by_key(|(s, _)| *s);
-    RuleSet {
-        rules: seq.into_iter().map(|(_, r)| r.clone()).collect(),
+        self.snapshot().to_rule_set()
     }
 }
 
@@ -487,20 +360,36 @@ impl RuleSnapshot {
     }
 
     /// Rules matching a workload's tags with score ≥ 0.6, best first —
-    /// same contract as [`ShardedRuleStore::matching`].
+    /// the same rules, in the same order, as [`RuleSet::matching`] on the
+    /// flattened set. Shards whose signature scores below the threshold
+    /// are skipped wholesale.
     pub fn matching(&self, workload_tags: &[ContextTag]) -> Vec<&Rule> {
-        matching_in(&self.shards, workload_tags)
+        let workload_mask = ContextTag::mask_of(workload_tags);
+        let mut scored: Vec<(f64, u64, &Rule)> = Vec::new();
+        for (sig, shard) in self.shards.iter() {
+            let score = sig.score_against(workload_mask);
+            if score < 0.6 {
+                continue;
+            }
+            scored.extend(shard.iter().map(|r| (score, r.seq, &r.rule)));
+        }
+        // Score descending, accumulation order among ties — matching the
+        // flat RuleSet's stable sort.
+        scored.sort_by(|a, b| b.0.total_cmp(&a.0).then(a.1.cmp(&b.1)));
+        scored.into_iter().map(|(_, _, r)| r).collect()
     }
 
     /// Flatten into the [`RuleSet`] façade, in accumulation order.
     pub fn to_rule_set(&self) -> RuleSet {
-        to_rule_set_in(&self.shards)
-    }
-}
-
-impl From<&ShardedRuleStore> for RuleSnapshot {
-    fn from(store: &ShardedRuleStore) -> Self {
-        store.snapshot()
+        let mut seq: Vec<(u64, &Rule)> = self
+            .shards
+            .values()
+            .flat_map(|shard| shard.iter().map(|r| (r.seq, &r.rule)))
+            .collect();
+        seq.sort_by_key(|(s, _)| *s);
+        RuleSet {
+            rules: seq.into_iter().map(|(_, r)| r.clone()).collect(),
+        }
     }
 }
 
@@ -513,15 +402,10 @@ impl From<RuleSet> for RuleSnapshot {
     }
 }
 
-impl From<&RuleSet> for RuleSnapshot {
-    fn from(rules: &RuleSet) -> Self {
-        ShardedRuleStore::from_rule_set(rules).snapshot()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::rules::Guidance;
 
     fn seq_tags() -> Vec<ContextTag> {
         vec![ContextTag::LargeSequentialWrites, ContextTag::SharedFile]
@@ -560,45 +444,9 @@ mod tests {
         let sig_large = ShardSignature::of_tags(6, &seq_tags());
         assert_ne!(sig_small, sig_large);
         assert_eq!(sig_small.tag_mask, sig_large.tag_mask);
-        assert_ne!(sig_small.hash64(), sig_large.hash64());
         assert_eq!(ShardedRuleStore::for_topology(5).topo_bucket(), 2);
         assert_eq!(ShardedRuleStore::for_topology(64).topo_bucket(), 6);
         assert_eq!(ShardedRuleStore::for_topology(0).topo_bucket(), 0);
-    }
-
-    #[test]
-    fn merge_from_federates_across_topology_buckets() {
-        let mut small = ShardedRuleStore::for_topology(5); // bucket 2
-        small.merge(vec![Rule::new(
-            "stripe_count",
-            Guidance::SetToAllOsts,
-            &seq_tags(),
-        )]);
-        let mut large = ShardedRuleStore::for_topology(64); // bucket 6
-        large.merge(vec![Rule::new(
-            "stripe_count",
-            Guidance::SetToOne,
-            &seq_tags(),
-        )]);
-
-        // Opposite guidance on the same tags would be a hard conflict in
-        // one bucket — across buckets both survive, in separate shards.
-        let mut fleet = ShardedRuleStore::new();
-        fleet.merge_from(&small);
-        fleet.merge_from(&large);
-        assert_eq!(fleet.len(), 2);
-        assert_eq!(fleet.shard_count(), 2);
-        let buckets: Vec<u8> = fleet
-            .census()
-            .iter()
-            .map(|e| e.signature.topo_bucket)
-            .collect();
-        assert_eq!(buckets, vec![2, 6]);
-
-        // Same-bucket federation still applies §4.4.2: an exact
-        // duplicate collapses.
-        fleet.merge_from(&small);
-        assert_eq!(fleet.len(), 2, "duplicate from the same bucket dropped");
     }
 
     #[test]
@@ -697,55 +545,14 @@ mod tests {
         flat.merge(batch.clone());
         store.merge(batch);
         let flat_hits: Vec<&Rule> = flat.matching(&seq_tags());
-        let store_hits = store.matching(&seq_tags());
         let snap = store.snapshot();
         let snap_hits = snap.matching(&seq_tags());
-        assert_eq!(flat_hits, store_hits);
         assert_eq!(flat_hits, snap_hits);
     }
 
     #[test]
-    fn prune_negative_matches_flat() {
-        let rules = vec![
-            Rule::new(
-                "osc.max_dirty_mb",
-                Guidance::RaiseToAtLeast(256),
-                &seq_tags(),
-            ),
-            Rule::new(
-                "osc.max_dirty_mb",
-                Guidance::RaiseToAtLeast(1024),
-                &seq_tags(),
-            ),
-            Rule::new(
-                "llite.statahead_max",
-                Guidance::RaiseToAtLeast(128),
-                &md_tags(),
-            ),
-        ];
-        let mut flat = RuleSet::new();
-        flat.merge(rules.clone());
-        let mut store = ShardedRuleStore::new();
-        store.merge(rules);
-        let snap = store.snapshot();
-        flat.prune_negative(
-            "osc.max_dirty_mb",
-            Guidance::RaiseToAtLeast(1024),
-            &seq_tags(),
-        );
-        store.prune_negative(
-            "osc.max_dirty_mb",
-            Guidance::RaiseToAtLeast(1024),
-            &seq_tags(),
-        );
-        assert_eq!(store.to_rule_set(), flat);
-        assert_eq!(store.len(), 2);
-        assert_eq!(snap.len(), 3, "snapshot keeps the pruned rule");
-    }
-
-    #[test]
     fn facade_roundtrip_preserves_duplicates_and_order() {
-        // from_rule_set must NOT re-merge: a JSON-loaded set may contain
+        // with_rules must NOT re-merge: a JSON-loaded set may contain
         // exact duplicates and they must survive the round trip.
         let r = Rule::new("stripe_count", Guidance::SetToAllOsts, &seq_tags());
         let flat = RuleSet {
@@ -759,10 +566,10 @@ mod tests {
                 r,
             ],
         };
-        let store = ShardedRuleStore::from_rule_set(&flat);
+        let store = ShardedRuleStore::new().with_rules(&flat);
         assert_eq!(store.len(), 3);
         assert_eq!(store.to_rule_set(), flat);
-        let snap: RuleSnapshot = (&flat).into();
+        let snap: RuleSnapshot = flat.clone().into();
         assert_eq!(snap.to_rule_set(), flat);
     }
 
@@ -783,12 +590,10 @@ mod tests {
         assert_eq!(store.shard_count(), 3, "one shard per scenario regime");
 
         let names = |hits: Vec<&Rule>| hits.iter().map(|r| r.parameter.clone()).collect::<Vec<_>>();
-        assert_eq!(names(store.matching(&seq_tags())), vec!["pristine_param"]);
-        assert_eq!(names(store.matching(&faulted_tags)), vec!["faulted_param"]);
-        assert_eq!(names(store.matching(&noisy_tags)), vec!["noisy_param"]);
-        // Snapshots see the same gating.
         let snap = store.snapshot();
+        assert_eq!(names(snap.matching(&seq_tags())), vec!["pristine_param"]);
         assert_eq!(names(snap.matching(&faulted_tags)), vec!["faulted_param"]);
+        assert_eq!(names(snap.matching(&noisy_tags)), vec!["noisy_param"]);
     }
 
     #[test]
@@ -804,6 +609,7 @@ mod tests {
 #[cfg(test)]
 mod proptests {
     use super::*;
+    use crate::rules::Guidance;
     use proptest::prelude::*;
 
     fn arb_tags() -> impl Strategy<Value = Vec<ContextTag>> {
@@ -884,7 +690,7 @@ mod proptests {
         #[test]
         fn facade_roundtrip_is_bit_identical(rules in arb_rules()) {
             let flat = RuleSet { rules };
-            let store = ShardedRuleStore::from_rule_set(&flat);
+            let store = ShardedRuleStore::new().with_rules(&flat);
             prop_assert_eq!(store.to_rule_set(), flat.clone());
             prop_assert_eq!(store.snapshot().to_rule_set(), flat.clone());
             let json_back = RuleSet::from_json(&store.to_rule_set().to_json()).unwrap();

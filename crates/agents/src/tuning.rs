@@ -21,7 +21,7 @@
 
 use crate::analysis::{AnalysisQuestion, Answer};
 use crate::report::{IoReport, WorkloadClass};
-use crate::rules::{ContextTag, Guidance, Rule};
+use crate::rules::{Guidance, Rule};
 use llmsim::{FactQuality, LlmBackend, ParamFact};
 use pfs::params::{Bound, TuningConfig};
 use pfs::topology::ClusterSpec;
@@ -39,7 +39,9 @@ pub struct TuningOptions {
     /// Whether RAG descriptions are available (`No Descriptions` = false;
     /// ranges are kept either way, as in the paper's ablation).
     pub use_descriptions: bool,
-    /// Whether the global rule set is consulted.
+    /// Whether the global rule set is consulted. The session reads this
+    /// when it matches rules for the agent; with `false` it hands the
+    /// agent none.
     pub use_rules: bool,
     /// Maximum follow-up questions to the Analysis Agent.
     pub max_follow_ups: usize,
@@ -112,6 +114,9 @@ impl TuningAgent {
     /// Create the agent. The backend is consulted once per parameter for
     /// fact recall (`options.use_descriptions` decides whether facts come
     /// from RAG descriptions — truth — or parametric memory — corrupted).
+    ///
+    /// `rules` is the set the session matched against the workload's
+    /// report and scenario tags; the agent applies it as given.
     #[allow(clippy::too_many_arguments)]
     pub fn new(
         backend: &mut dyn LlmBackend,
@@ -190,13 +195,6 @@ impl TuningAgent {
             // No Analysis: the agent assumes a generic large-transfer
             // streaming workload (§5.4's observed failure mode).
             None => WorkloadClass::LargeSequentialShared,
-        }
-    }
-
-    fn workload_tags(&self) -> Vec<ContextTag> {
-        match &self.report {
-            Some(r) => ContextTag::tags_for(r),
-            None => vec![ContextTag::LargeSequentialWrites, ContextTag::SharedFile],
         }
     }
 
@@ -773,18 +771,8 @@ impl TuningAgent {
         // Rule-set priming: matched rules override the playbook for their
         // parameter (this is what makes the first guess with rules so strong
         // in Figs. 6-7).
-        let tags = self.workload_tags();
-        let matched: Vec<Rule> = if self.options.use_rules {
-            self.rules
-                .iter()
-                .filter(|r| r.match_score(&tags) >= 0.6)
-                .cloned()
-                .collect()
-        } else {
-            Vec::new()
-        };
         for (name, intended, reason) in moves {
-            let rule = matched.iter().find(|r| r.parameter == name);
+            let rule = self.rules.iter().find(|r| r.parameter == name);
             match rule.and_then(|r| r.guidance()) {
                 Some(g) => {
                     let value = self.guidance_value(g, name, avg_write, intended);
@@ -814,7 +802,7 @@ impl TuningAgent {
             }
         }
         // Rules may cover parameters outside the playbook.
-        for r in &matched {
+        for r in &self.rules {
             if rationale.iter().any(|(p, _)| p == &r.parameter) {
                 continue;
             }
@@ -917,6 +905,7 @@ impl TuningAgent {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::rules::ContextTag;
     use llmsim::{ModelProfile, SimLlm};
     use pfs::params::ParamRegistry;
     use ragx::RagExtractor;
@@ -1153,6 +1142,17 @@ mod tests {
                 Guidance::RaiseToAtLeast(64),
                 &[ContextTag::LargeSequentialWrites, ContextTag::SharedFile],
             ),
+            // A scenario rule the session matched on a faulted cluster:
+            // the agent applies it as handed, with no second filter.
+            Rule::new(
+                "osc.max_dirty_mb",
+                Guidance::RaiseToAtLeast(1024),
+                &[
+                    ContextTag::LargeSequentialWrites,
+                    ContextTag::SharedFile,
+                    ContextTag::DegradedTopology,
+                ],
+            ),
         ];
         let mut b = SimLlm::new(ModelProfile::claude_37_sonnet(), 1);
         let options = TuningOptions {
@@ -1165,6 +1165,7 @@ mod tests {
         };
         assert_eq!(config.stripe_count, -1);
         assert!(config.osc_max_rpcs_in_flight >= 64);
+        assert!(config.osc_max_dirty_mb >= 1024);
         assert!(rationale
             .iter()
             .any(|(_, r)| r.contains("accumulated rule")));

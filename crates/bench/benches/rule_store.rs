@@ -46,7 +46,7 @@ fn bench_snapshot_vs_clone(c: &mut Criterion) {
     group.sample_size(10);
     for n in SIZES {
         let flat = synth_rules(n);
-        let store = ShardedRuleStore::from_rule_set(&flat);
+        let store = ShardedRuleStore::new().with_rules(&flat);
         group.bench_function(&format!("clone_flat/{n}"), |b| {
             b.iter(|| black_box(flat.clone()))
         });
@@ -63,7 +63,7 @@ fn bench_matching(c: &mut Criterion) {
     let probe = [ContextTag::LargeSequentialWrites, ContextTag::SharedFile];
     for n in SIZES {
         let flat = synth_rules(n);
-        let snapshot = ShardedRuleStore::from_rule_set(&flat).snapshot();
+        let snapshot = ShardedRuleStore::new().with_rules(&flat).snapshot();
         group.bench_function(&format!("flat/{n}"), |b| {
             b.iter(|| black_box(flat.matching(&probe).len()))
         });
@@ -79,7 +79,7 @@ fn bench_cow_merge(c: &mut Criterion) {
     group.sample_size(10);
     // One round's learnings merged into a large store with a live
     // snapshot: copy-on-write must touch only the destination shards.
-    let base = ShardedRuleStore::from_rule_set(&synth_rules(100_000));
+    let base = ShardedRuleStore::new().with_rules(&synth_rules(100_000));
     let batch: Vec<Rule> = synth_rules(8).rules;
     group.bench_function("merge_8_into_100k_under_snapshot", |b| {
         b.iter_batched(

@@ -299,6 +299,15 @@ fn scenario_rules_never_cross_into_pristine_sessions() {
             .all(|r| r.match_score(&probe_tags) > 0.0),
         "scenario rules must match their own regime's probe"
     );
+    // ... and the next session in that regime applies them.
+    let reuse = faulted.tune(&composite, &mut learned.clone(), 62);
+    assert!(
+        reuse
+            .transcript
+            .iter()
+            .any(|entry| entry.contains("applying accumulated rule")),
+        "the scenario session must apply its own regime's rules"
+    );
 }
 
 proptest! {
