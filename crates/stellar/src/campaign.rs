@@ -848,6 +848,25 @@ impl<'e> Campaign<'e> {
         (cells, in_flight_peak.into_inner())
     }
 
+    /// The grid announced to [`CampaignObserver::on_campaign_start`] when
+    /// the rounds run over `workers` with `schedule`. Its canonical fields
+    /// are the run record's `CampaignStart` event, which
+    /// [`Campaign::resume_from`] checks a record against.
+    fn grid(&self, workers: usize, schedule: Schedule) -> CampaignGrid {
+        let options = self.engine.options();
+        let injection = options.failures.map(|f| f.label());
+        CampaignGrid {
+            workloads: self.workloads.iter().map(|w| w.name()).collect(),
+            seeds: self.seeds.clone(),
+            mode: self.mode,
+            workers,
+            schedule,
+            faults: options.faults.as_ref().map(|p| p.label()),
+            retry: injection.is_some().then(|| options.retry.label()),
+            injection,
+        }
+    }
+
     fn execute(&self, parallel: bool) -> CampaignReport {
         assert!(
             !self.workloads.is_empty() && !self.seeds.is_empty(),
@@ -894,20 +913,7 @@ impl<'e> Campaign<'e> {
                 self.workloads.len()
             );
         }
-        let injection = self.engine.options().failures.map(|f| f.label());
-        let retry = injection
-            .is_some()
-            .then(|| self.engine.options().retry.label());
-        let grid = CampaignGrid {
-            workloads: self.workloads.iter().map(|w| w.name()).collect(),
-            seeds: self.seeds.clone(),
-            mode: self.mode,
-            workers,
-            schedule: sched_stats.schedule,
-            faults: self.engine.options().faults.as_ref().map(|p| p.label()),
-            injection,
-            retry,
-        };
+        let grid = self.grid(workers, sched_stats.schedule);
         self.notify(|o| o.on_campaign_start(&grid));
         let mut cells = Vec::with_capacity(self.workloads.len() * self.seeds.len());
         for (round_idx, &seed) in self.seeds.iter().enumerate() {
@@ -1044,55 +1050,18 @@ impl<'e> Campaign<'e> {
         if self.workloads.is_empty() || self.seeds.is_empty() {
             return Err("campaign grid is empty: add workloads and seeds".to_string());
         }
-        let names: Vec<String> = self.workloads.iter().map(|w| w.name()).collect();
-        let options = self.engine.options();
+        let grid = self.grid(1, Schedule::Fifo);
+        let expected = ObsEvent::from(&grid);
         let mut events = record.events();
-        let Some(ObsEvent::CampaignStart {
-            workloads,
-            seeds,
-            mode,
-            faults,
-            injection,
-            retry,
-        }) = events.next()
-        else {
+        let Some(start @ ObsEvent::CampaignStart { .. }) = events.next() else {
             return Err("record does not begin with a CampaignStart event".to_string());
         };
-        if *workloads != names {
+        if *start != expected {
             return Err(format!(
-                "record workloads {workloads:?} do not match configured grid {names:?}"
+                "record {start:?} does not match the configured campaign {expected:?}"
             ));
         }
-        if *seeds != self.seeds {
-            return Err(format!(
-                "record seeds {seeds:?} do not match configured seeds {:?}",
-                self.seeds
-            ));
-        }
-        if mode != self.mode.label() {
-            return Err(format!(
-                "record rule mode {mode:?} does not match configured {:?}",
-                self.mode.label()
-            ));
-        }
-        let engine_faults = options.faults.as_ref().map(|p| p.label());
-        if *faults != engine_faults {
-            return Err(format!(
-                "record fault plan {faults:?} does not match engine {engine_faults:?}"
-            ));
-        }
-        let engine_injection = options.failures.map(|f| f.label());
-        let engine_retry = engine_injection.is_some().then(|| options.retry.label());
-        if *injection != engine_injection {
-            return Err(format!(
-                "record failure injection {injection:?} does not match engine {engine_injection:?}"
-            ));
-        }
-        if *retry != engine_retry {
-            return Err(format!(
-                "record retry policy {retry:?} does not match engine {engine_retry:?}"
-            ));
-        }
+        let names = grid.workloads;
         let n = names.len();
         // A round is complete when all its cells were recorded *and*
         // every finished cell's rule merge made it to the record — the

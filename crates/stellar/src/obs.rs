@@ -231,6 +231,22 @@ pub enum ObsEvent {
     },
 }
 
+/// The grid's canonical half. Workers and schedule are execution details:
+/// telemetry, not canon (serial and parallel runs must emit identical
+/// canonical streams). They reach the record via `RoundPlanned` notes.
+impl From<&CampaignGrid> for ObsEvent {
+    fn from(grid: &CampaignGrid) -> Self {
+        ObsEvent::CampaignStart {
+            workloads: grid.workloads.clone(),
+            seeds: grid.seeds.clone(),
+            mode: grid.mode.label().to_string(),
+            faults: grid.faults.clone(),
+            injection: grid.injection.clone(),
+            retry: grid.retry.clone(),
+        }
+    }
+}
+
 /// A scheduling/timing note — the non-deterministic half of the record.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum SchedNote {
@@ -845,17 +861,7 @@ impl<W: Write> RunObserver for &mut JsonlEmitter<W> {
 
 impl<W: Write + Send> CampaignObserver for JsonlEmitter<W> {
     fn on_campaign_start(&mut self, grid: &CampaignGrid) {
-        // Workers and schedule are execution details: telemetry, not
-        // canon (serial and parallel runs must emit identical canonical
-        // streams). They reach the record via RoundPlanned notes.
-        self.event(ObsEvent::CampaignStart {
-            workloads: grid.workloads.clone(),
-            seeds: grid.seeds.clone(),
-            mode: grid.mode.label().to_string(),
-            faults: grid.faults.clone(),
-            injection: grid.injection.clone(),
-            retry: grid.retry.clone(),
-        });
+        self.event(ObsEvent::from(grid));
     }
 
     fn on_round_start(&mut self, seed: u64) {
