@@ -6,7 +6,8 @@
 //!   produces an [`report::IoReport`]; it also answers the Tuning Agent's
 //!   follow-up questions (the "minor loop");
 //! * the [`tuning::TuningAgent`] holds the extracted parameters, the
-//!   hardware description, the I/O report and the global rule set, and emits
+//!   hardware description, the I/O report and the rules the session
+//!   matched from the global rule set, and emits
 //!   [`tuning::ToolCall`]s — request more analysis, run a candidate
 //!   configuration (with per-parameter rationale), or end tuning.
 //!
