@@ -187,3 +187,75 @@ fn simulator_outputs_are_pinned_across_cache_budgets() {
     }
     assert!(evicted, "no 64 MB run lost cache hits to eviction");
 }
+
+/// Simulator outputs pinned bit for bit on the engine's large-transfer
+/// paths: whole-word page-cache reads and whole-RPC writeback (a tuned
+/// IOR_16M), extents longer than one RPC but not a whole number of RPCs,
+/// whose sub-RPC tails stay buffered, and a sequential read-back whose
+/// readahead hits land in a full 64 MB cache mid-read and evict.
+#[test]
+fn simulator_outputs_are_pinned_on_large_transfer_paths() {
+    use workloads::ior::{Ior, Pattern};
+    use workloads::Workload;
+    let mut tuned = TuningConfig::lustre_default();
+    tuned.stripe_count = -1;
+    tuned.stripe_size = 16 << 20;
+    tuned.osc_max_pages_per_rpc = 1024;
+    tuned.osc_max_dirty_mb = 256;
+    let mut tuned_small = tuned.clone();
+    tuned_small.llite_max_cached_mb = 64;
+    let mut striped = TuningConfig::lustre_default();
+    striped.stripe_count = 4;
+    striped.stripe_size = 4 << 20;
+    let mut small = TuningConfig::lustre_default();
+    small.llite_max_cached_mb = 64;
+    let tails = Ior {
+        label: "IOR_1536K".into(),
+        transfer: 3 << 19,
+        block: 24 << 20,
+        blocks_per_rank: 1,
+        pattern: Pattern::Sequential,
+        read_phase: true,
+        task_shift: 10,
+        file_per_process: false,
+    };
+    let cases: [(ClusterSpec, Box<dyn Workload>, TuningConfig); 4] = [
+        (
+            ClusterSpec::scaled(200, 8),
+            WorkloadKind::Ior16M.spec().scaled(0.1),
+            tuned,
+        ),
+        (
+            ClusterSpec::scaled(200, 8),
+            WorkloadKind::Ior16M.spec().scaled(0.1),
+            tuned_small,
+        ),
+        (ClusterSpec::paper_cluster(), Box::new(tails), striped),
+        (
+            ClusterSpec::paper_cluster(),
+            Box::new(Ior::ior_fpp(4 << 20, 32 << 20)),
+            small,
+        ),
+    ];
+    // Per case: (wall_secs, cache_hit_ratio, dirty_stall_secs) as bits,
+    // bulk_rpcs, readahead_bytes.
+    #[rustfmt::skip]
+    const PINNED: [(u64, u64, u64, u64, u64); 4] = [
+        (0x4009fde834761824, 0x3fe999999999999a, 0x0, 1920, 0x0),
+        (0x4011514c6c032238, 0x0, 0x0, 3200, 0x0),
+        (0x3fe87dcb46dd2b8c, 0x3f4b4e81b4e81b4f, 0x40200be9d3b288ed, 3111, 0x100000),
+        (0x3ff335c3db6a2719, 0x3fe7000000000000, 0x401d06af60804868, 3200, 0x47e00000),
+    ];
+    for ((topo, w, cfg), want) in cases.into_iter().zip(PINNED) {
+        let sim = PfsSimulator::new(topo);
+        let r = sim.run(w.generate(sim.topology(), 5), &cfg, 5);
+        let got = (
+            r.wall_secs.to_bits(),
+            r.cache_hit_ratio.to_bits(),
+            r.dirty_stall_secs.to_bits(),
+            r.bulk_rpcs,
+            r.readahead_bytes,
+        );
+        assert_eq!(got, want, "{}: {r:?}", w.name());
+    }
+}
