@@ -8,14 +8,18 @@
 //!
 //! The layout is sized for large transfers. Residency lives in blocks of 32
 //! chunks, each a pair of `u32` bitmasks (resident, referenced), and the
-//! clock is a queue of runs of consecutive chunks. A range insert touches one
-//! map entry per block word instead of one per chunk: a 16 MiB transfer is 8
-//! lookups, not 256. The behaviour is still per chunk, exactly:
+//! clock is a queue of runs of consecutive chunks. A range insert or range
+//! read touches one map entry per block word instead of one per chunk: a
+//! 16 MiB transfer is 8 lookups, not 256. The behaviour is still per chunk,
+//! exactly:
 //!
 //! - a word whose new chunks fit in the remaining budget cannot evict, so
 //!   setting its bits at once equals inserting its chunks one by one;
 //! - any other word is inserted chunk by chunk, each insert followed by
 //!   eviction down to the budget;
+//! - a read inserts nothing before its first chunk that readahead covers,
+//!   so a word is classified at once up to that chunk and chunk by chunk
+//!   from it on;
 //! - eviction pops one chunk at a time off the front run.
 //!
 //! So hits, victims and byte counts match a cache keyed by single chunks
@@ -98,6 +102,14 @@ fn push_run(clock: &mut VecDeque<Run>, file: FileId, start: u64, len: u32) {
     clock.push_back(Run { file, len, start });
 }
 
+/// Append `chunk` to `misses`, extending the last run when it continues it.
+fn push_miss(misses: &mut Vec<Range<u64>>, chunk: u64) {
+    match misses.last_mut() {
+        Some(run) if run.end == chunk => run.end += 1,
+        _ => misses.push(chunk..chunk + 1),
+    }
+}
+
 impl PageCache {
     /// Create a cache with the given budget in bytes.
     pub fn new(budget_bytes: u64) -> Self {
@@ -125,6 +137,71 @@ impl PageCache {
         self.blocks
             .get(&(file, chunk / BLOCK_CHUNKS))
             .is_some_and(|b| b.resident & bit(chunk) != 0)
+    }
+
+    /// Read `chunks` of `file` in ascending order, as if probing one chunk
+    /// at a time, and return the number of hits. A resident chunk is a hit
+    /// and gets its referenced bit set. A chunk that is not resident is
+    /// offered to `readahead`; when that returns true the chunk is a hit
+    /// and is inserted right then (readahead data lands in the cache), which
+    /// may evict chunks the read has not reached yet. Every other chunk is
+    /// a miss, appended to `misses` as a run of consecutive chunks.
+    ///
+    /// One map lookup classifies a block word up to its first chunk that
+    /// readahead covers: no insert happens before that chunk, so residency
+    /// cannot change under the probes. From that chunk on, the word goes
+    /// one chunk at a time.
+    pub fn read(
+        &mut self,
+        file: FileId,
+        chunks: Range<u64>,
+        mut readahead: impl FnMut(u64) -> bool,
+        misses: &mut Vec<Range<u64>>,
+    ) -> u64 {
+        let mut hits = 0u64;
+        let mut chunk = chunks.start;
+        while chunk < chunks.end {
+            let block = chunk / BLOCK_CHUNKS;
+            let base = block * BLOCK_CHUNKS;
+            let word_end = chunks.end.min(base + BLOCK_CHUNKS);
+            let word = span((chunk - base) as u32, (word_end - chunk) as u32);
+            let b = self.blocks.get_mut(&(file, block));
+            let resident = b.as_ref().map_or(0, |b| b.resident) & word;
+            let mut reached = word;
+            let mut ra_chunk = None;
+            let mut holes = word & !resident;
+            while holes != 0 {
+                let c = base + u64::from(holes.trailing_zeros());
+                if readahead(c) {
+                    reached &= bit(c) - 1;
+                    ra_chunk = Some(c);
+                    break;
+                }
+                push_miss(misses, c);
+                holes &= holes - 1;
+            }
+            let hit = resident & reached;
+            if let Some(b) = b {
+                b.referenced |= hit;
+            }
+            hits += u64::from(hit.count_ones());
+            if let Some(c) = ra_chunk {
+                hits += 1;
+                self.insert_chunk(file, c);
+                for c in c + 1..word_end {
+                    if self.probe(file, c) {
+                        hits += 1;
+                    } else if readahead(c) {
+                        hits += 1;
+                        self.insert_chunk(file, c);
+                    } else {
+                        push_miss(misses, c);
+                    }
+                }
+            }
+            chunk = word_end;
+        }
+        hits
     }
 
     /// Insert `chunks` of `file` in ascending order, as if one chunk at a
@@ -350,20 +427,60 @@ mod tests {
         s
     }
 
-    /// One cache operation: (kind, file, first chunk, chunk count).
-    fn arb_ops() -> impl Strategy<Value = Vec<(u8, u32, u64, u64)>> {
-        proptest::collection::vec((0u8..10, 0u32..4, 0u64..160, 1u64..80), 1..400)
+    /// One cache operation: (kind, file, first chunk, chunk count, ready
+    /// mask). A read treats chunk `c` as readahead-ready when bit
+    /// `(c - first) % 64` of the mask is set; the masks run from none to
+    /// dense, so a readahead hole can come early, late or not at all in a
+    /// block word.
+    fn arb_ops() -> impl Strategy<Value = Vec<(u8, u32, u64, u64, u64)>> {
+        let ready = prop_oneof![
+            Just(0u64),
+            0..u64::MAX,
+            (0..u64::MAX).prop_map(|m| m & m.rotate_left(17) & m.rotate_left(41)),
+        ];
+        proptest::collection::vec((0u8..12, 0u32..4, 0u64..160, 1u64..80, ready), 1..400)
+    }
+
+    /// `ChunkCache` walking a read one chunk at a time, as the engine did:
+    /// probe, else take a readahead entry and insert, else miss. Returns
+    /// the hits; `asked` records each chunk offered to readahead.
+    fn reference_read(
+        cache: &mut ChunkCache,
+        file: FileId,
+        chunks: Range<u64>,
+        ready: &mut Vec<u64>,
+        asked: &mut Vec<u64>,
+        misses: &mut Vec<Range<u64>>,
+    ) -> u64 {
+        let mut hits = 0;
+        for c in chunks {
+            if cache.probe(file, c) {
+                hits += 1;
+                continue;
+            }
+            asked.push(c);
+            if let Some(i) = ready.iter().position(|&r| r == c) {
+                ready.swap_remove(i);
+                hits += 1;
+                cache.insert(file, c);
+            } else {
+                push_miss(misses, c);
+            }
+        }
+        hits
     }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
-        /// Random range inserts, single-chunk inserts, probes, `contains`
-        /// and invalidations under budgets from zero to a few hundred
-        /// chunks: eviction, second chances, stale clock keys and
-        /// re-insertion after invalidation all run. Probe results, bytes
-        /// and per-chunk residency and referenced bits equal the per-chunk
-        /// reference after every step.
+        /// Random range inserts, single-chunk inserts, probes, `contains`,
+        /// range reads with readahead-ready chunks and invalidations under
+        /// budgets from zero to a few hundred chunks: eviction, second
+        /// chances, stale clock keys, re-insertion after invalidation and
+        /// readahead inserts that evict chunks a read has yet to reach all
+        /// run. Probe and read results (hits, miss runs, the chunks offered
+        /// to readahead), bytes and per-chunk residency and referenced bits
+        /// equal the per-chunk reference after every step.
         #[test]
         fn block_cache_matches_per_chunk_reference(
             budget in 0u64..300,
@@ -371,9 +488,39 @@ mod tests {
         ) {
             let mut fast = PageCache::new(budget * CHUNK_BYTES);
             let mut reference = ChunkCache::new(budget * CHUNK_BYTES);
-            for (step, (kind, file, start, len)) in ops.into_iter().enumerate() {
+            for (step, (kind, file, start, len, mask)) in ops.into_iter().enumerate() {
                 let file = FileId(file);
                 match kind {
+                    10 | 11 => {
+                        let chunks = start..start + len;
+                        let ready: Vec<u64> =
+                            chunks.clone().filter(|c| mask >> ((c - start) % 64) & 1 == 1).collect();
+                        let (mut fast_ready, mut fast_asked, mut fast_misses) =
+                            (ready.clone(), Vec::new(), Vec::new());
+                        let fast_hits = fast.read(
+                            file,
+                            chunks.clone(),
+                            |c| {
+                                fast_asked.push(c);
+                                let i = fast_ready.iter().position(|&r| r == c);
+                                i.map(|i| fast_ready.swap_remove(i)).is_some()
+                            },
+                            &mut fast_misses,
+                        );
+                        let (mut ref_ready, mut ref_asked, mut ref_misses) =
+                            (ready, Vec::new(), Vec::new());
+                        let ref_hits = reference_read(
+                            &mut reference,
+                            file,
+                            chunks,
+                            &mut ref_ready,
+                            &mut ref_asked,
+                            &mut ref_misses,
+                        );
+                        prop_assert_eq!(fast_hits, ref_hits, "read hits at step {}", step);
+                        prop_assert_eq!(&fast_misses, &ref_misses, "miss runs at step {}", step);
+                        prop_assert_eq!(&fast_asked, &ref_asked, "readahead queries at step {}", step);
+                    }
                     0..=3 => {
                         fast.insert(file, start..start + len);
                         for c in start..start + len {

@@ -30,6 +30,7 @@ use simcore::hash::FxBuildHasher;
 use simcore::resources::{BandwidthChannel, MultiServer};
 use simcore::time::{Duration, SimTime};
 use simcore::{EventQueue, SimRng};
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 
 /// Aggregate diagnostics of one run (beyond what Darshan exposes).
@@ -117,14 +118,15 @@ pub struct Engine<'s> {
     next_start_ost: u32,
     // Per-op allocation avoidance: memoized stripe→OST tables plus reusable
     // buffers (taken/restored around each use, like `scratch_extents`).
-    // `scratch_runs`/`scratch_starts` serve flush_object and do_read's miss
-    // accumulation; `scratch_objs`/`scratch_file_objs` serve the flush key
-    // collections. Holders never overlap: flush_object never re-enters
-    // itself, and do_read never flushes.
+    // `scratch_runs`/`scratch_starts` serve flush_object, `scratch_misses`
+    // do_read's miss runs, and `scratch_objs`/`scratch_file_objs` the flush
+    // key collections. Holders never overlap: flush_object never re-enters
+    // itself.
     placements: PlacementCache,
     scratch_extents: Vec<ObjectExtent>,
     scratch_runs: Vec<(u64, u64)>,
     scratch_starts: Vec<u64>,
+    scratch_misses: Vec<std::ops::Range<u64>>,
     scratch_objs: Vec<u32>,
     scratch_file_objs: Vec<(FileId, u32)>,
     diag: Diagnostics,
@@ -205,6 +207,7 @@ impl<'s> Engine<'s> {
             scratch_extents: Vec::new(),
             scratch_runs: Vec::new(),
             scratch_starts: Vec::new(),
+            scratch_misses: Vec::new(),
             scratch_objs: Vec::new(),
             scratch_file_objs: Vec::new(),
             diag: Diagnostics::default(),
@@ -320,7 +323,9 @@ impl<'s> Engine<'s> {
     }
 
     /// One bulk data RPC: OSC window -> client NIC -> OSS NIC -> disk -> reply.
-    /// Returns completion time at the client.
+    /// Returns completion time at the client. Reads and writes share the
+    /// pipeline: a read sends its request first and the data flows back,
+    /// and the calendar composition is symmetric.
     #[allow(clippy::too_many_arguments)] // mirrors the RPC descriptor fields
     fn bulk_rpc(
         &mut self,
@@ -331,12 +336,8 @@ impl<'s> Engine<'s> {
         obj_offset: u64,
         bytes: u64,
         now: SimTime,
-        is_write: bool,
         short_io: bool,
     ) -> SimTime {
-        let _ = is_write; // reads traverse the request first, then data flows
-                          // back; the calendar composition is symmetric, so
-                          // both directions share one pipeline.
         let admit = self.osc_mut(client, ost).window.admit(now);
         let setup = if short_io {
             Duration::ZERO
@@ -395,7 +396,7 @@ impl<'s> Engine<'s> {
         let mut remaining = len;
         while remaining > 0 {
             let take = remaining.min(rpc_bytes);
-            let end = self.bulk_rpc(client, file, obj_index, ost, off, take, now, true, false);
+            let end = self.bulk_rpc(client, file, obj_index, ost, off, take, now, false);
             self.osc_mut(client, ost)
                 .wb_pending
                 .push(std::cmp::Reverse((end, take)));
@@ -571,7 +572,6 @@ impl<'s> Engine<'s> {
                     e.len,
                     t,
                     true,
-                    true,
                 );
                 end = end.max(done);
             }
@@ -616,12 +616,32 @@ impl<'s> Engine<'s> {
 
             // Coalescing aggregation: insert the extent into the object's
             // dirty-range set; once the containing run fills an RPC, flush
-            // its full-RPC prefix.
+            // its full-RPC prefix. An extent of at least one RPC into a
+            // stream with nothing buffered would be its own run, so it
+            // skips the set: its whole-RPC prefix goes to writeback and
+            // only the sub-RPC tail is buffered, as that flush would do.
             let key = (client, file, e.obj_index);
-            let ranges = self
-                .agg
-                .entry(key)
-                .or_insert_with(|| DirtyRanges::new(e.ost));
+            let ranges = match self.agg.entry(key) {
+                Entry::Occupied(o) => o.into_mut(),
+                Entry::Vacant(v) if e.len >= rpc_bytes => {
+                    let keep = e.len % rpc_bytes;
+                    if keep > 0 {
+                        v.insert(DirtyRanges::new(e.ost))
+                            .insert(e.obj_offset + e.len - keep, keep);
+                    }
+                    self.writeback_run(
+                        client,
+                        file,
+                        e.obj_index,
+                        e.ost,
+                        e.obj_offset,
+                        e.len - keep,
+                        t,
+                    );
+                    continue;
+                }
+                Entry::Vacant(v) => v.insert(DirtyRanges::new(e.ost)),
+            };
             let (_, run_len) = ranges.insert(e.obj_offset, e.len);
             if run_len >= rpc_bytes {
                 self.flush_object(client, file, e.obj_index, t, false);
@@ -639,46 +659,26 @@ impl<'s> Engine<'s> {
 
         let t = now + self.lock_acquire(client, file, offset, len);
 
-        // Classify chunks: cached / readahead-inflight / miss. The run
-        // accumulator reuses the flush scratch buffer ((offset, len) in
-        // bytes): reads never flush, so the two holders cannot overlap.
-        let mut miss_runs = std::mem::take(&mut self.scratch_runs);
+        // Classify chunks: cached / readahead-inflight / miss. A chunk a
+        // readahead RPC covers is a hit once that RPC lands.
+        let chunks = chunks_covering(offset, len);
+        let mut miss_runs = std::mem::take(&mut self.scratch_misses);
         let mut wait_until = t;
-        let mut run_start: Option<u64> = None;
-        let mut last_chunk_end = 0u64;
-        for chunk in chunks_covering(offset, len) {
-            let cached = self.caches[client as usize].probe(file, chunk);
-            let ra_key = (client, file, chunk);
-            let ra_hit = if cached {
-                None
-            } else {
-                self.ra_ready.get(&ra_key).copied()
-            };
-            if cached {
-                self.diag.cache_hit_chunks += 1;
-            } else if let Some(ready) = ra_hit {
-                // Covered by a readahead RPC: wait for it if still in flight.
-                wait_until = wait_until.max(ready);
-                self.diag.cache_hit_chunks += 1;
-                self.ra_ready.remove(&ra_key);
-                self.caches[client as usize].insert(file, chunk..chunk + 1);
-            } else {
-                self.diag.cache_miss_chunks += 1;
-            }
-            let is_miss = !cached && ra_hit.is_none();
-            let chunk_start = chunk * CHUNK_BYTES;
-            if is_miss {
-                if run_start.is_none() {
-                    run_start = Some(chunk_start);
+        let ra_ready = &mut self.ra_ready;
+        let hits = self.caches[client as usize].read(
+            file,
+            chunks.clone(),
+            |chunk| match ra_ready.remove(&(client, file, chunk)) {
+                Some(ready) => {
+                    wait_until = wait_until.max(ready);
+                    true
                 }
-                last_chunk_end = chunk_start + CHUNK_BYTES;
-            } else if let Some(s) = run_start.take() {
-                miss_runs.push((s, last_chunk_end - s));
-            }
-        }
-        if let Some(s) = run_start.take() {
-            miss_runs.push((s, last_chunk_end - s));
-        }
+                None => false,
+            },
+            &mut miss_runs,
+        );
+        self.diag.cache_hit_chunks += hits;
+        self.diag.cache_miss_chunks += chunks.end - chunks.start - hits;
 
         // Issue synchronous RPCs for misses.
         let rpc_bytes = self.cfg.rpc_bytes().max(CHUNK_BYTES);
@@ -686,9 +686,9 @@ impl<'s> Engine<'s> {
         let mut end = wait_until;
         let osts = self.placements.osts(&layout);
         let mut extents = std::mem::take(&mut self.scratch_extents);
-        for (roff, rlen) in &miss_runs {
-            let mut cur = *roff;
-            let stop = roff + rlen;
+        for run in &miss_runs {
+            let mut cur = run.start * CHUNK_BYTES;
+            let stop = run.end * CHUNK_BYTES;
             while cur < stop {
                 let take = (stop - cur).min(rpc_bytes);
                 layout.map_into(cur, take, self.topo.ost_count(), Some(&osts), &mut extents);
@@ -701,18 +701,17 @@ impl<'s> Engine<'s> {
                         e.obj_offset,
                         e.len,
                         t,
-                        false,
                         short,
                     );
                     end = end.max(done);
                 }
                 cur += take;
             }
-            self.caches[client as usize].insert(file, chunks_covering(*roff, *rlen));
+            self.caches[client as usize].insert(file, run.clone());
         }
         self.scratch_extents = extents;
         miss_runs.clear();
-        self.scratch_runs = miss_runs;
+        self.scratch_misses = miss_runs;
         // Memory copy to the application buffer.
         end = end.max(t) + self.memcpy(len);
 
@@ -818,7 +817,6 @@ impl<'s> Engine<'s> {
                         e.obj_offset,
                         e.len,
                         now,
-                        false,
                         false,
                     );
                     piece_end = piece_end.max(done);
