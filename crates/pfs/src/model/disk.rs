@@ -25,7 +25,6 @@ pub struct DiskCalendar {
     streams: HashMap<(FileId, u32), u64, FxBuildHasher>,
     seq_ops: u64,
     rand_ops: u64,
-    bytes: u64,
 }
 
 impl DiskCalendar {
@@ -37,7 +36,6 @@ impl DiskCalendar {
             streams: HashMap::default(),
             seq_ops: 0,
             rand_ops: 0,
-            bytes: 0,
         }
     }
 
@@ -64,7 +62,6 @@ impl DiskCalendar {
             self.rand_ops += 1;
         }
         self.streams.insert(key, obj_offset + bytes);
-        self.bytes += bytes;
 
         let seek_us = if sequential {
             0.0
@@ -102,19 +99,9 @@ impl DiskCalendar {
         self.rand_ops
     }
 
-    /// Bytes transferred.
-    pub fn bytes(&self) -> u64 {
-        self.bytes
-    }
-
     /// Cumulative busy time (utilisation reporting).
     pub fn busy_time(&self) -> Duration {
         self.server.busy_time()
-    }
-
-    /// Earliest instant a new transfer would begin service.
-    pub fn free_at(&self) -> SimTime {
-        self.server.free_at()
     }
 }
 
@@ -140,12 +127,12 @@ mod tests {
         let mut d = disk();
         let mut r = rng();
         let f = FileId(0);
-        d.transfer(SimTime::ZERO, f, 0, 0, 1 << 20, 1.0, &mut r);
+        let g = d.transfer(SimTime::ZERO, f, 0, 0, 1 << 20, 1.0, &mut r);
         assert_eq!(d.rand_ops(), 1);
-        d.transfer(d.free_at(), f, 0, 1 << 20, 1 << 20, 1.0, &mut r);
+        let g = d.transfer(g.end, f, 0, 1 << 20, 1 << 20, 1.0, &mut r);
         assert_eq!(d.seq_ops(), 1);
         // Jumping backwards is random again.
-        d.transfer(d.free_at(), f, 0, 0, 4096, 1.0, &mut r);
+        d.transfer(g.end, f, 0, 0, 4096, 1.0, &mut r);
         assert_eq!(d.rand_ops(), 2);
     }
 
@@ -170,9 +157,9 @@ mod tests {
         let mut d = disk();
         let mut r = rng();
         let f = FileId(0);
-        d.transfer(SimTime::ZERO, f, 0, 0, 4096, 1.0, &mut r);
+        let g = d.transfer(SimTime::ZERO, f, 0, 0, 4096, 1.0, &mut r);
         // Different object index: its own stream, counts as random.
-        d.transfer(d.free_at(), f, 1, 4096, 4096, 1.0, &mut r);
+        d.transfer(g.end, f, 1, 4096, 4096, 1.0, &mut r);
         assert_eq!(d.rand_ops(), 2);
     }
 
@@ -181,9 +168,9 @@ mod tests {
         let mut d = disk();
         let mut r = rng();
         let f = FileId(0);
-        d.transfer(SimTime::ZERO, f, 0, 0, 4096, 1.0, &mut r);
+        let g = d.transfer(SimTime::ZERO, f, 0, 0, 4096, 1.0, &mut r);
         d.forget(f, 0);
-        d.transfer(d.free_at(), f, 0, 4096, 4096, 1.0, &mut r);
+        d.transfer(g.end, f, 0, 4096, 4096, 1.0, &mut r);
         assert_eq!(d.rand_ops(), 2);
         assert_eq!(d.seq_ops(), 0);
     }
@@ -197,10 +184,12 @@ mod tests {
 
     #[test]
     fn byte_accounting() {
+        // A stream's next expected offset advances by the bytes moved.
         let mut d = disk();
         let mut r = rng();
-        d.transfer(SimTime::ZERO, FileId(0), 0, 0, 100, 1.0, &mut r);
-        d.transfer(d.free_at(), FileId(0), 0, 100, 200, 1.0, &mut r);
-        assert_eq!(d.bytes(), 300);
+        let g = d.transfer(SimTime::ZERO, FileId(0), 0, 0, 100, 1.0, &mut r);
+        let g = d.transfer(g.end, FileId(0), 0, 100, 200, 1.0, &mut r);
+        d.transfer(g.end, FileId(0), 0, 300, 4096, 1.0, &mut r);
+        assert_eq!((d.rand_ops(), d.seq_ops()), (1, 2));
     }
 }

@@ -149,24 +149,12 @@ impl DirtyRanges {
         self.ranges.iter().map(|(&s, &l)| (s, l))
     }
 
-    /// Remove and return all runs, in offset order.
-    pub fn drain_all(&mut self) -> Vec<(u64, u64)> {
-        let out: Vec<(u64, u64)> = self.ranges.iter().map(|(&s, &l)| (s, l)).collect();
-        self.ranges.clear();
-        out
-    }
-
-    /// Like [`drain_all`](Self::drain_all), but appending into a
-    /// caller-provided buffer (offset order) so flush paths on the engine's
-    /// hot loop can reuse one allocation across ops.
+    /// Remove all runs, appending them in offset order to a caller-provided
+    /// buffer so flush paths on the engine's hot loop can reuse one
+    /// allocation across ops.
     pub fn drain_all_into(&mut self, out: &mut Vec<(u64, u64)>) {
         out.extend(self.ranges.iter().map(|(&s, &l)| (s, l)));
         self.ranges.clear();
-    }
-
-    /// Total dirty bytes tracked.
-    pub fn total(&self) -> u64 {
-        self.ranges.values().sum()
     }
 
     /// Whether no dirty data remains.
@@ -239,7 +227,6 @@ pub struct LockTable {
     // determinism audit (D002): point lookups per lock region, visited in
     // ascending region order by `acquire` — never iterated as a map
     holders: HashMap<u64, u32, FxBuildHasher>,
-    conflicts: u64,
 }
 
 /// Lock region granularity (16 MiB of file offset space).
@@ -260,7 +247,6 @@ impl LockTable {
                 Some(holder) if *holder != client => {
                     *holder = client;
                     revocations += 1;
-                    self.conflicts += 1;
                 }
                 Some(_) => {}
                 None => {
@@ -269,11 +255,6 @@ impl LockTable {
             }
         }
         revocations
-    }
-
-    /// Total conflicts observed on this file.
-    pub fn conflicts(&self) -> u64 {
-        self.conflicts
     }
 }
 
@@ -327,7 +308,6 @@ mod tests {
         assert_eq!(l.acquire(0, 0, 1000), 0); // same client, no conflict
         assert_eq!(l.acquire(1, 0, 1000), 1); // stolen
         assert_eq!(l.acquire(0, 0, 1000), 1); // stolen back
-        assert_eq!(l.conflicts(), 2);
     }
 
     #[test]
@@ -347,14 +327,20 @@ mod tests {
         assert!(!ra.whole_done);
     }
 
+    /// Every run, drained in offset order.
+    fn drain(d: &mut DirtyRanges) -> Vec<(u64, u64)> {
+        let mut out = Vec::new();
+        d.drain_all_into(&mut out);
+        out
+    }
+
     #[test]
     fn dirty_ranges_coalesce_adjacent() {
         let mut d = DirtyRanges::new(0);
         d.insert(0, 100);
         let (s, l) = d.insert(100, 50); // adjacent: merges
         assert_eq!((s, l), (0, 150));
-        assert_eq!(d.total(), 150);
-        assert_eq!(d.drain_all(), vec![(0, 150)]);
+        assert_eq!(drain(&mut d), vec![(0, 150)]);
     }
 
     #[test]
@@ -365,7 +351,7 @@ mod tests {
         for &i in &order {
             d.insert(i * 64, 64);
         }
-        assert_eq!(d.drain_all(), vec![(0, 16 * 64)]);
+        assert_eq!(drain(&mut d), vec![(0, 16 * 64)]);
     }
 
     #[test]
@@ -373,9 +359,7 @@ mod tests {
         let mut d = DirtyRanges::new(0);
         d.insert(0, 10);
         d.insert(100, 10);
-        assert_eq!(d.total(), 20);
-        let all = d.drain_all();
-        assert_eq!(all, vec![(0, 10), (100, 10)]);
+        assert_eq!(drain(&mut d), vec![(0, 10), (100, 10)]);
         assert!(d.is_empty());
     }
 
@@ -383,11 +367,10 @@ mod tests {
     fn dirty_ranges_overlap_merges() {
         let mut d = DirtyRanges::new(0);
         d.insert(0, 100);
-        d.insert(50, 100); // overlaps
-        assert_eq!(d.total(), 150);
+        assert_eq!(d.insert(50, 100), (0, 150)); // overlaps
         d.insert(200, 10);
         d.insert(140, 70); // bridges [0,150) and [200,210)
-        assert_eq!(d.drain_all(), vec![(0, 210)]);
+        assert_eq!(drain(&mut d), vec![(0, 210)]);
     }
 
     #[test]
