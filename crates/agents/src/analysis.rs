@@ -13,6 +13,7 @@ use darshan::counters::{Counter, FCounter, COUNTERS};
 use darshan::Table;
 use llmsim::LlmBackend;
 use serde::{Deserialize, Serialize};
+use std::fmt::Write;
 
 /// Follow-up questions the Tuning Agent may pose (the "minor loop").
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -83,28 +84,44 @@ const DIGEST_ROW_CAP: usize = 1500;
 /// and a row digest of every dataframe. Stable across calls so the prompt
 /// cache resolves it after the first turn.
 pub fn tables_digest(tables: &[Table]) -> String {
+    // Writing into a `String` cannot fail, so the `fmt::Result`s below are
+    // dropped.
     let mut s = String::with_capacity(1 << 16);
     s.push_str("COLUMN DESCRIPTIONS:\n");
     for (k, v) in darshan::column_descriptions() {
-        s.push_str(&format!("{k}: {v}\n"));
+        let _ = writeln!(s, "{k}: {v}");
     }
     for t in tables {
-        s.push_str(&format!("\nDATAFRAME {} ({} rows):\n", t.name, t.len()));
+        let _ = writeln!(s, "\nDATAFRAME {} ({} rows):", t.name, t.len());
         s.push_str(&t.columns.join(","));
         s.push('\n');
         for row in t.rows.iter().take(DIGEST_ROW_CAP) {
-            let line: Vec<String> = row.iter().map(|v| format!("{v:.0}")).collect();
-            s.push_str(&line.join(","));
+            for (i, &v) in row.iter().enumerate() {
+                if i > 0 {
+                    s.push(',');
+                }
+                push_cell(&mut s, v);
+            }
             s.push('\n');
         }
         if t.len() > DIGEST_ROW_CAP {
-            s.push_str(&format!(
-                "... ({} rows truncated)\n",
-                t.len() - DIGEST_ROW_CAP
-            ));
+            let _ = writeln!(s, "... ({} rows truncated)", t.len() - DIGEST_ROW_CAP);
         }
     }
     s
+}
+
+/// Append `v` as `format!("{v:.0}")` renders it. An integral value below
+/// 1e15 in magnitude converts to `i64` exactly and prints the same digits
+/// through integer formatting, which is far cheaper; -0.0 (printed "-0"),
+/// fractions (rounded half to even) and everything else take the float
+/// formatter.
+fn push_cell(s: &mut String, v: f64) {
+    let _ = if v.fract() == 0.0 && v.abs() < 1e15 && !(v == 0.0 && v.is_sign_negative()) {
+        write!(s, "{}", v as i64)
+    } else {
+        write!(s, "{v:.0}")
+    };
 }
 
 impl<'b> AnalysisAgent<'b> {
@@ -444,6 +461,7 @@ mod tests {
     use super::*;
     use llmsim::{ModelProfile, SimLlm};
     use pfs::{ClusterSpec, PfsSimulator, TuningConfig};
+    use proptest::prelude::*;
     use workloads::WorkloadKind;
 
     fn tables_for(kind: WorkloadKind) -> (String, Vec<Table>) {
@@ -537,5 +555,57 @@ mod tests {
         }
         assert_eq!(backend.usage().calls, 2);
         assert!(backend.usage().input_tokens > 50);
+    }
+
+    fn cell(v: f64) -> String {
+        let mut s = String::new();
+        push_cell(&mut s, v);
+        s
+    }
+
+    #[test]
+    fn digest_cells_match_float_formatting_at_the_edges() {
+        for v in [
+            0.0,
+            -0.0,
+            0.5,
+            -0.5,
+            1.5,
+            2.5,
+            -0.4,
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            1e15 - 1.0,
+            1e15,
+            1e15 + 1.0,
+            -1e15 + 1.0,
+            -1e15,
+            f64::MAX,
+            f64::MIN_POSITIVE,
+        ] {
+            assert_eq!(cell(v), format!("{v:.0}"), "bits {:#x}", v.to_bits());
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(4096))]
+
+        /// The digest renders every `f64` exactly as `format!("{v:.0}")`:
+        /// arbitrary bit patterns (NaNs, infinities, subnormals, huge and
+        /// tiny values), plus small integers, integers up to 1e15 either
+        /// side of zero and halves, where the integer path and the
+        /// half-to-even rounding meet.
+        #[test]
+        fn digest_cells_match_float_formatting(
+            bits in 0..u64::MAX,
+            small in -5_000_000i64..5_000_000,
+            wide in 0u64..2_000_000_000_000_001,
+        ) {
+            let wide = wide as f64 - 1e15;
+            for v in [f64::from_bits(bits), small as f64, small as f64 + 0.5, wide] {
+                prop_assert_eq!(cell(v), format!("{v:.0}"), "bits {:#x}", v.to_bits());
+            }
+        }
     }
 }
