@@ -17,9 +17,9 @@
 //!   setting its bits at once equals inserting its chunks one by one;
 //! - any other word is inserted chunk by chunk, each insert followed by
 //!   eviction down to the budget;
-//! - a read inserts nothing before its first chunk that readahead covers,
-//!   so a word is classified at once up to that chunk and chunk by chunk
-//!   from it on;
+//! - a read inserts nothing before its next chunk that readahead covers,
+//!   so a word is classified at once up to that chunk, which is inserted
+//!   before the rest of the word is classified;
 //! - eviction pops one chunk at a time off the front run.
 //!
 //! So hits, victims and byte counts match a cache keyed by single chunks
@@ -121,17 +121,6 @@ impl PageCache {
         }
     }
 
-    /// Whether `chunk` of `file` is resident; sets its referenced bit if so.
-    pub fn probe(&mut self, file: FileId, chunk: u64) -> bool {
-        match self.blocks.get_mut(&(file, chunk / BLOCK_CHUNKS)) {
-            Some(b) if b.resident & bit(chunk) != 0 => {
-                b.referenced |= bit(chunk);
-                true
-            }
-            _ => false,
-        }
-    }
-
     /// Whether `chunk` is resident, without touching recency.
     pub fn contains(&self, file: FileId, chunk: u64) -> bool {
         self.blocks
@@ -149,8 +138,8 @@ impl PageCache {
     ///
     /// One map lookup classifies a block word up to its first chunk that
     /// readahead covers: no insert happens before that chunk, so residency
-    /// cannot change under the probes. From that chunk on, the word goes
-    /// one chunk at a time.
+    /// cannot change under the probes. The rest of the word is classified
+    /// afresh after that chunk's insert.
     pub fn read(
         &mut self,
         file: FileId,
@@ -164,42 +153,34 @@ impl PageCache {
             let block = chunk / BLOCK_CHUNKS;
             let base = block * BLOCK_CHUNKS;
             let word_end = chunks.end.min(base + BLOCK_CHUNKS);
-            let word = span((chunk - base) as u32, (word_end - chunk) as u32);
+            let mut word = span((chunk - base) as u32, (word_end - chunk) as u32);
             let b = self.blocks.get_mut(&(file, block));
             let resident = b.as_ref().map_or(0, |b| b.resident) & word;
-            let mut reached = word;
-            let mut ra_chunk = None;
             let mut holes = word & !resident;
+            let mut ra_chunk = None;
             while holes != 0 {
                 let c = base + u64::from(holes.trailing_zeros());
                 if readahead(c) {
-                    reached &= bit(c) - 1;
+                    word &= bit(c) - 1;
                     ra_chunk = Some(c);
                     break;
                 }
                 push_miss(misses, c);
                 holes &= holes - 1;
             }
-            let hit = resident & reached;
+            let hit = resident & word;
             if let Some(b) = b {
                 b.referenced |= hit;
             }
             hits += u64::from(hit.count_ones());
-            if let Some(c) = ra_chunk {
-                hits += 1;
-                self.insert_chunk(file, c);
-                for c in c + 1..word_end {
-                    if self.probe(file, c) {
-                        hits += 1;
-                    } else if readahead(c) {
-                        hits += 1;
-                        self.insert_chunk(file, c);
-                    } else {
-                        push_miss(misses, c);
-                    }
+            chunk = match ra_chunk {
+                Some(c) => {
+                    hits += 1;
+                    self.insert_chunk(file, c);
+                    c + 1
                 }
-            }
-            chunk = word_end;
+                None => word_end,
+            };
         }
         hits
     }
@@ -411,6 +392,12 @@ mod tests {
         }
     }
 
+    /// Whether `chunk` is resident, setting its referenced bit if so: a
+    /// one-chunk read with no readahead.
+    fn probe(c: &mut PageCache, file: FileId, chunk: u64) -> bool {
+        c.read(file, chunk..chunk + 1, |_| false, &mut Vec::new()) == 1
+    }
+
     /// Resident chunks with their referenced bits, sorted.
     fn state(c: &PageCache) -> Vec<(FileId, u64, bool)> {
         let mut s = Vec::new();
@@ -532,7 +519,7 @@ mod tests {
                         reference.insert(file, start);
                     }
                     6 | 7 => prop_assert_eq!(
-                        fast.probe(file, start),
+                        probe(&mut fast, file, start),
                         reference.probe(file, start),
                         "probe at step {}",
                         step
@@ -571,10 +558,10 @@ mod tests {
     fn hit_after_insert() {
         let mut c = PageCache::new(10 * CHUNK_BYTES);
         let f = FileId(1);
-        assert!(!c.probe(f, 0));
+        assert!(!probe(&mut c, f, 0));
         c.insert(f, 0..1);
-        assert!(c.probe(f, 0));
-        assert!(!c.probe(f, 1));
+        assert!(probe(&mut c, f, 0));
+        assert!(!probe(&mut c, f, 1));
     }
 
     #[test]
@@ -583,7 +570,7 @@ mod tests {
         let f = FileId(1);
         c.insert(f, 0..2);
         // Touch 0 so 1 becomes the victim.
-        assert!(c.probe(f, 0));
+        assert!(probe(&mut c, f, 0));
         c.insert(f, 2..3); // evicts 1
         assert!(c.contains(f, 0));
         assert!(!c.contains(f, 1));
