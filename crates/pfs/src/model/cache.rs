@@ -430,14 +430,15 @@ mod tests {
 
     /// `ChunkCache` walking a read one chunk at a time, as the engine did:
     /// probe, else take a readahead entry and insert, else miss. Returns
-    /// the hits; `asked` records each chunk offered to readahead.
+    /// the hits; `asked` records each chunk offered to readahead and
+    /// `missed` each miss.
     fn reference_read(
         cache: &mut ChunkCache,
         file: FileId,
         chunks: Range<u64>,
         ready: &mut Vec<u64>,
         asked: &mut Vec<u64>,
-        misses: &mut Vec<Range<u64>>,
+        missed: &mut Vec<u64>,
     ) -> u64 {
         let mut hits = 0;
         for c in chunks {
@@ -451,7 +452,7 @@ mod tests {
                 hits += 1;
                 cache.insert(file, c);
             } else {
-                push_miss(misses, c);
+                missed.push(c);
             }
         }
         hits
@@ -494,7 +495,7 @@ mod tests {
                             },
                             &mut fast_misses,
                         );
-                        let (mut ref_ready, mut ref_asked, mut ref_misses) =
+                        let (mut ref_ready, mut ref_asked, mut ref_missed) =
                             (ready, Vec::new(), Vec::new());
                         let ref_hits = reference_read(
                             &mut reference,
@@ -502,10 +503,19 @@ mod tests {
                             chunks,
                             &mut ref_ready,
                             &mut ref_asked,
-                            &mut ref_misses,
+                            &mut ref_missed,
                         );
                         prop_assert_eq!(fast_hits, ref_hits, "read hits at step {}", step);
-                        prop_assert_eq!(&fast_misses, &ref_misses, "miss runs at step {}", step);
+                        let fast_missed: Vec<u64> =
+                            fast_misses.iter().flat_map(|r| r.clone()).collect();
+                        prop_assert_eq!(&fast_missed, &ref_missed, "misses at step {}", step);
+                        prop_assert!(
+                            fast_misses.iter().all(|r| r.start < r.end)
+                                && fast_misses.windows(2).all(|w| w[0].end < w[1].start),
+                            "miss runs {:?} not maximal at step {}",
+                            fast_misses,
+                            step
+                        );
                         prop_assert_eq!(&fast_asked, &ref_asked, "readahead queries at step {}", step);
                     }
                     0..=3 => {
