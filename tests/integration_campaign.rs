@@ -328,6 +328,14 @@ fn pristine_warm_rule_reuse_is_pinned() {
         );
     }
     assert_eq!(report.rules.len(), 24, "final rule count");
+    assert_eq!(report.rule_store.shard_count(), 3, "final shard count");
+    let census: Vec<(u16, usize)> = report
+        .rule_store
+        .census()
+        .iter()
+        .map(|e| (e.signature.tag_mask, e.rules))
+        .collect();
+    assert_eq!(census, [(0x030, 5), (0x085, 7), (0x0e1, 12)], "census");
 
     let mut rules = RuleSet::new();
     let w = WorkloadKind::Ior16M.spec_at(0.05);
