@@ -1,32 +1,20 @@
-//! Sharded, copy-on-write storage for the global rule set.
+//! Copy-on-write storage for the global rule set.
 //!
-//! The flat [`RuleSet`] is the paper's serialization format and stays the
-//! compatibility façade, but cloning it wholesale for every warm campaign
-//! round is O(total rules) — the roadmap's blocker to "millions of
-//! accumulated rules" scale. [`ShardedRuleStore`] replaces those clones:
+//! [`ShardedRuleStore`] and [`RuleSnapshot`] are handles on one shared
+//! [`RuleSet`]: the store merges with [`RuleSet::merge`] and snapshots
+//! match with [`RuleSet::matching`], so the §4.4.2 protocol has exactly
+//! one implementation.
 //!
-//! * **Sharding.** Rules are partitioned by [`ShardSignature`] — the
-//!   rule's exact context-tag bitmask crossed with a topology bucket
-//!   (⌊log₂ OST count⌋ of the cluster the rule was learned on). This is
-//!   safe because the §4.4.2 merge protocol only ever lets two rules
-//!   interact when their tag sets are *equal* (`same_context` demands set
-//!   equality), and equal tag sets means equal signature: a per-shard
-//!   merge is provably identical to the flat merge.
-//! * **Copy-on-write snapshots.** The shard map lives behind an [`Arc`];
+//! * **Copy-on-write snapshots.** The set lives behind an [`Arc`];
 //!   [`ShardedRuleStore::snapshot`] hands out an O(1) [`RuleSnapshot`]
-//!   that shares every shard. A later [`ShardedRuleStore::merge`] clones
-//!   only the touched shards (`Arc::make_mut`), never the whole set —
-//!   readers keep an immutable view of the state they started from.
-//! * **Shard-pruned matching.** A rule's context-match score depends only
-//!   on its tag set, which is uniform across a shard — so
-//!   [`RuleSnapshot::matching`] scores whole shards from their signature
-//!   and skips every shard below the 0.6 threshold without touching a
-//!   single rule.
-//!
-//! Accumulation order is preserved via per-rule sequence numbers, so
-//! [`ShardedRuleStore::to_rule_set`] round-trips bit-identically through
-//! the façade and snapshot matching returns rules in the exact order the
-//! flat [`RuleSet::matching`] would.
+//!   that shares it. A later [`ShardedRuleStore::merge`] copies the set
+//!   only while a snapshot still shares it (`Arc::make_mut`), so readers
+//!   keep an immutable view of the state they started from.
+//! * **Shards.** A shard is the group of rules that share one exact
+//!   context-tag set, keyed by [`ShardSignature`] (the tag bitmask
+//!   crossed with the store's topology bucket). The merge protocol only
+//!   lets rules with equal tag sets interact, so shards are independent;
+//!   [`ShardedRuleStore::census`] counts them on demand.
 //!
 //! ```
 //! use agents::{ContextTag, Guidance, Rule, RuleSet, ShardedRuleStore};
@@ -40,16 +28,16 @@
 //! ]);
 //! assert_eq!(store.shard_count(), 2);
 //!
-//! // O(1): shares every shard instead of cloning rules.
+//! // O(1): shares the set instead of cloning rules.
 //! let snapshot = store.snapshot();
 //!
-//! // Later merges copy only the shards they touch; the snapshot is fixed.
+//! // A later merge copies the set away from the snapshot, which is fixed.
 //! store.merge(vec![Rule::new("stripe_size", Guidance::MatchTransferSize,
 //!                            &[ContextTag::LargeSequentialWrites, ContextTag::SharedFile])]);
 //! assert_eq!(snapshot.len(), 2);
 //! assert_eq!(store.len(), 3);
 //!
-//! // The flat RuleSet façade round-trips in accumulation order.
+//! // The flat RuleSet round-trips in accumulation order.
 //! let flat: RuleSet = store.to_rule_set();
 //! assert_eq!(ShardedRuleStore::new().with_rules(&flat).to_rule_set(), flat);
 //! ```
@@ -62,9 +50,9 @@ use std::sync::Arc;
 /// topology bucket it was learned under.
 ///
 /// Two rules can only interact during [`ShardedRuleStore::merge`] when
-/// their tag sets are equal, so keying shards by the exact mask loses
-/// nothing; the topology bucket keeps knowledge learned on differently
-/// sized clusters from being merged as if interchangeable.
+/// their tag sets are equal, so the exact mask groups rules the way the
+/// merge protocol does; the topology bucket labels the cluster size the
+/// store's rules were learned on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ShardSignature {
     /// Topology bucket: ⌊log₂(OST count)⌋ of the learning cluster
@@ -97,24 +85,6 @@ impl ShardSignature {
             .collect()
     }
 
-    /// The context-match score every rule in this shard has against a
-    /// workload tag mask: |intersection| / |shard tags|. Identical to
-    /// [`Rule::match_score`] because a shard's rules all carry exactly
-    /// this signature's tag set — including the scenario gate: shards
-    /// whose scenario tags ([`ContextTag::is_scenario`]) disagree with
-    /// the probe's score 0.0 outright, so fault- or contention-learned
-    /// shards never leak into pristine matching (and vice versa).
-    pub fn score_against(self, workload_mask: u16) -> f64 {
-        let mine = self.tag_mask.count_ones();
-        if mine == 0 {
-            return 0.0;
-        }
-        if (self.tag_mask ^ workload_mask) & ContextTag::scenario_mask() != 0 {
-            return 0.0;
-        }
-        f64::from((self.tag_mask & workload_mask).count_ones()) / f64::from(mine)
-    }
-
     /// Human-readable label: the tag phrases (or "untagged").
     pub fn label(self) -> String {
         let tags = self.tags();
@@ -128,16 +98,6 @@ impl ShardSignature {
     }
 }
 
-/// A rule plus its global accumulation sequence number (the position it
-/// would occupy in the equivalent flat [`RuleSet`]).
-#[derive(Debug, Clone, PartialEq)]
-struct SeqRule {
-    seq: u64,
-    rule: Rule,
-}
-
-type ShardMap = BTreeMap<ShardSignature, Arc<Vec<SeqRule>>>;
-
 /// One row of [`ShardedRuleStore::census`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct ShardCensusEntry {
@@ -147,34 +107,11 @@ pub struct ShardCensusEntry {
     pub rules: usize,
 }
 
-/// The sharded, copy-on-write global rule store. See the module docs.
-#[derive(Debug, Clone, Default)]
+/// The copy-on-write global rule store. See the module docs.
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ShardedRuleStore {
     topo_bucket: u8,
-    shards: Arc<ShardMap>,
-    next_seq: u64,
-    len: usize,
-}
-
-/// Stores are equal when they hold the same rules in the same per-shard
-/// accumulation order (sequence numbers themselves are an implementation
-/// detail and do not participate).
-impl PartialEq for ShardedRuleStore {
-    fn eq(&self, other: &Self) -> bool {
-        self.topo_bucket == other.topo_bucket
-            && self.len == other.len
-            && self.shards.len() == other.shards.len()
-            && self.shards.iter().zip(other.shards.iter()).all(
-                |((sig_a, shard_a), (sig_b, shard_b))| {
-                    sig_a == sig_b
-                        && shard_a.len() == shard_b.len()
-                        && shard_a
-                            .iter()
-                            .zip(shard_b.iter())
-                            .all(|(a, b)| a.rule == b.rule)
-                },
-            )
-    }
+    rules: Arc<RuleSet>,
 }
 
 impl ShardedRuleStore {
@@ -183,8 +120,8 @@ impl ShardedRuleStore {
         Self::default()
     }
 
-    /// Empty store whose merged rules are attributed to the topology
-    /// bucket ⌊log₂ `ost_count`⌋.
+    /// Empty store whose rules are attributed to the topology bucket
+    /// ⌊log₂ `ost_count`⌋.
     pub fn for_topology(ost_count: u32) -> Self {
         ShardedRuleStore {
             topo_bucket: if ost_count == 0 {
@@ -196,146 +133,82 @@ impl ShardedRuleStore {
         }
     }
 
-    /// Absorb a flat rule set verbatim (order-preserving, no merging),
-    /// attributing every rule to this store's topology bucket — the
-    /// inverse of [`ShardedRuleStore::to_rule_set`].
+    /// Append a flat rule set verbatim (order-preserving, no merging) —
+    /// the inverse of [`ShardedRuleStore::to_rule_set`].
     pub fn with_rules(mut self, rules: &RuleSet) -> Self {
-        self.insert_unmerged(rules.rules.iter().cloned());
+        Arc::make_mut(&mut self.rules)
+            .rules
+            .extend_from_slice(&rules.rules);
         self
     }
 
-    /// Append rules verbatim (no merge semantics), consuming them —
-    /// shared by [`ShardedRuleStore::with_rules`] and the owned
-    /// `From<RuleSet>` conversion, which must not clone a second time.
-    fn insert_unmerged(&mut self, rules: impl IntoIterator<Item = Rule>) {
-        let shards = Arc::make_mut(&mut self.shards);
-        for rule in rules {
-            let sig = ShardSignature::of_rule(self.topo_bucket, &rule);
-            Arc::make_mut(shards.entry(sig).or_default()).push(SeqRule {
-                seq: self.next_seq,
-                rule,
-            });
-            self.next_seq += 1;
-            self.len += 1;
-        }
-    }
-
-    /// Total rules across all shards.
+    /// Total rules in the store.
     pub fn len(&self) -> usize {
-        self.len
+        self.rules.len()
     }
 
     /// Whether the store holds no rules.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.rules.is_empty()
     }
 
     /// Number of non-empty shards.
     pub fn shard_count(&self) -> usize {
-        self.shards.len()
+        self.census().len()
     }
 
-    /// The topology bucket merged rules are attributed to.
+    /// The topology bucket the store's rules are attributed to.
     pub fn topo_bucket(&self) -> u8 {
         self.topo_bucket
     }
 
-    /// An O(1) immutable view of the current state: shares every shard,
+    /// An O(1) immutable view of the current state: shares the set,
     /// clones no rules, and is unaffected by later merges.
     pub fn snapshot(&self) -> RuleSnapshot {
         RuleSnapshot {
-            shards: Arc::clone(&self.shards),
-            len: self.len,
+            rules: Arc::clone(&self.rules),
         }
     }
 
-    /// Merge newly learned rules under the §4.4.2 protocol, restricted to
-    /// each rule's own shard (equivalent to [`RuleSet::merge`] — see the
-    /// module docs). Only touched shards are copied; outstanding
-    /// [`RuleSnapshot`]s keep the pre-merge state.
+    /// Merge newly learned rules with [`RuleSet::merge`]. The set is
+    /// copied first only while a [`RuleSnapshot`] still shares it; those
+    /// snapshots keep the pre-merge state.
     pub fn merge(&mut self, new_rules: Vec<Rule>) {
-        if new_rules.is_empty() {
-            return;
-        }
-        let shards = Arc::make_mut(&mut self.shards);
-        for new in new_rules {
-            let sig = ShardSignature::of_rule(self.topo_bucket, &new);
-            let shard = Arc::make_mut(shards.entry(sig).or_default());
-            // Untagged rules land in the mask-0 shard and — like the flat
-            // merge, whose `same_context` rejects empty tag sets — never
-            // dedup or conflict: append directly.
-            let mut drop_new = false;
-            if sig.tag_mask != 0 {
-                let new_guidance = new.guidance();
-                let mut remove_existing: Vec<usize> = Vec::new();
-                for (i, old) in shard.iter().enumerate() {
-                    if old.rule.parameter != new.parameter {
-                        continue;
-                    }
-                    // Shard membership implies equal, non-empty tag sets,
-                    // so the flat merge's `same_context` holds by
-                    // construction.
-                    match (old.rule.guidance(), new_guidance) {
-                        (Some(a), Some(b)) if a == b => {
-                            drop_new = true; // exact duplicate
-                        }
-                        (Some(a), Some(b)) if a.conflicts_with(b) => {
-                            // Hard conflict: remove both (the paper's rule).
-                            remove_existing.push(i);
-                            drop_new = true;
-                        }
-                        // Slight variation: keep both as alternatives.
-                        _ => {}
-                    }
-                }
-                for i in remove_existing.into_iter().rev() {
-                    shard.remove(i);
-                    self.len -= 1;
-                }
-            }
-            if !drop_new {
-                shard.push(SeqRule {
-                    seq: self.next_seq,
-                    rule: new,
-                });
-                self.next_seq += 1;
-                self.len += 1;
-            }
-            if shard.is_empty() {
-                shards.remove(&sig);
-            }
+        if !new_rules.is_empty() {
+            Arc::make_mut(&mut self.rules).merge(new_rules);
         }
     }
 
-    /// Per-shard occupancy, in shard-key order (for introspection — the
-    /// CLI's `campaign --rule-shards`).
+    /// Rules per non-empty shard, in shard-key order (for introspection —
+    /// the CLI's `campaign --rule-shards`).
     pub fn census(&self) -> Vec<ShardCensusEntry> {
-        self.shards
-            .iter()
-            .map(|(sig, shard)| ShardCensusEntry {
-                signature: *sig,
-                rules: shard.len(),
-            })
+        let mut counts: BTreeMap<ShardSignature, usize> = BTreeMap::new();
+        for rule in &self.rules.rules {
+            *counts
+                .entry(ShardSignature::of_rule(self.topo_bucket, rule))
+                .or_default() += 1;
+        }
+        counts
+            .into_iter()
+            .map(|(signature, rules)| ShardCensusEntry { signature, rules })
             .collect()
     }
 
-    /// Flatten back into the paper's [`RuleSet`] façade, in exact
-    /// accumulation order (bit-identical round trip with
-    /// [`ShardedRuleStore::with_rules`]).
+    /// A copy of the flat [`RuleSet`], in accumulation order
+    /// (bit-identical round trip with [`ShardedRuleStore::with_rules`]).
     pub fn to_rule_set(&self) -> RuleSet {
-        self.snapshot().to_rule_set()
+        RuleSet::clone(&self.rules)
     }
 }
 
 /// An immutable O(1) view of a [`ShardedRuleStore`] at a point in time.
 ///
-/// Snapshots share the store's shards; taking one never clones a rule,
-/// and merges performed on the store afterwards are invisible to it.
-/// Sessions hold a snapshot for the duration of a tuning run.
+/// Snapshots share the store's set; taking one never clones a rule, and
+/// merges performed on the store afterwards are invisible to it. Sessions
+/// hold a snapshot for the duration of a tuning run.
 #[derive(Debug, Clone, Default)]
 pub struct RuleSnapshot {
-    shards: Arc<ShardMap>,
-    len: usize,
+    rules: Arc<RuleSet>,
 }
 
 impl RuleSnapshot {
@@ -346,59 +219,31 @@ impl RuleSnapshot {
 
     /// Total rules visible in this snapshot.
     pub fn len(&self) -> usize {
-        self.len
+        self.rules.len()
     }
 
     /// Whether the snapshot holds no rules.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.rules.is_empty()
     }
 
-    /// Number of shards visible in this snapshot.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// Rules matching a workload's tags with score ≥ 0.6, best first —
-    /// the same rules, in the same order, as [`RuleSet::matching`] on the
-    /// flattened set. Shards whose signature scores below the threshold
-    /// are skipped wholesale.
+    /// Rules matching a workload's tags with score ≥ 0.6, best first
+    /// ([`RuleSet::matching`]).
     pub fn matching(&self, workload_tags: &[ContextTag]) -> Vec<&Rule> {
-        let workload_mask = ContextTag::mask_of(workload_tags);
-        let mut scored: Vec<(f64, u64, &Rule)> = Vec::new();
-        for (sig, shard) in self.shards.iter() {
-            let score = sig.score_against(workload_mask);
-            if score < 0.6 {
-                continue;
-            }
-            scored.extend(shard.iter().map(|r| (score, r.seq, &r.rule)));
-        }
-        // Score descending, accumulation order among ties — matching the
-        // flat RuleSet's stable sort.
-        scored.sort_by(|a, b| b.0.total_cmp(&a.0).then(a.1.cmp(&b.1)));
-        scored.into_iter().map(|(_, _, r)| r).collect()
+        self.rules.matching(workload_tags)
     }
 
-    /// Flatten into the [`RuleSet`] façade, in accumulation order.
+    /// A copy of the flat [`RuleSet`], in accumulation order.
     pub fn to_rule_set(&self) -> RuleSet {
-        let mut seq: Vec<(u64, &Rule)> = self
-            .shards
-            .values()
-            .flat_map(|shard| shard.iter().map(|r| (r.seq, &r.rule)))
-            .collect();
-        seq.sort_by_key(|(s, _)| *s);
-        RuleSet {
-            rules: seq.into_iter().map(|(_, r)| r.clone()).collect(),
-        }
+        RuleSet::clone(&self.rules)
     }
 }
 
 impl From<RuleSet> for RuleSnapshot {
     fn from(rules: RuleSet) -> Self {
-        // Owned path: partition without a second per-rule clone.
-        let mut store = ShardedRuleStore::new();
-        store.insert_unmerged(rules.rules);
-        store.snapshot()
+        RuleSnapshot {
+            rules: Arc::new(rules),
+        }
     }
 }
 
@@ -491,66 +336,6 @@ mod tests {
     }
 
     #[test]
-    fn merge_matches_flat_ruleset_semantics() {
-        // Same scenario as the RuleSet unit tests: duplicate, conflict,
-        // alternative, cross-context.
-        let batches = vec![
-            vec![Rule::new(
-                "stripe_count",
-                Guidance::SetToAllOsts,
-                &seq_tags(),
-            )],
-            vec![Rule::new(
-                "stripe_count",
-                Guidance::SetToAllOsts,
-                &seq_tags(),
-            )], // dup
-            vec![Rule::new("stripe_count", Guidance::SetToOne, &md_tags())], // other ctx
-            vec![Rule::new(
-                "osc.max_rpcs_in_flight",
-                Guidance::RaiseToAtLeast(32),
-                &seq_tags(),
-            )],
-            vec![Rule::new(
-                "osc.max_rpcs_in_flight",
-                Guidance::RaiseToAtLeast(64),
-                &seq_tags(),
-            )],
-            vec![Rule::new("stripe_count", Guidance::SetToOne, &seq_tags())], // conflict
-        ];
-        let mut flat = RuleSet::new();
-        let mut store = ShardedRuleStore::new();
-        for batch in batches {
-            flat.merge(batch.clone());
-            store.merge(batch);
-        }
-        assert_eq!(store.to_rule_set(), flat);
-        assert_eq!(store.len(), flat.len());
-    }
-
-    #[test]
-    fn matching_agrees_with_flat_ruleset_order() {
-        let mut flat = RuleSet::new();
-        let mut store = ShardedRuleStore::new();
-        let batch = vec![
-            Rule::new("a", Guidance::SetTo(1), &[ContextTag::SharedFile]),
-            Rule::new("b", Guidance::SetTo(2), &seq_tags()),
-            Rule::new("c", Guidance::SetTo(3), &md_tags()),
-            Rule::new(
-                "d",
-                Guidance::SetTo(4),
-                &[ContextTag::LargeSequentialWrites],
-            ),
-        ];
-        flat.merge(batch.clone());
-        store.merge(batch);
-        let flat_hits: Vec<&Rule> = flat.matching(&seq_tags());
-        let snap = store.snapshot();
-        let snap_hits = snap.matching(&seq_tags());
-        assert_eq!(flat_hits, snap_hits);
-    }
-
-    #[test]
     fn facade_roundtrip_preserves_duplicates_and_order() {
         // with_rules must NOT re-merge: a JSON-loaded set may contain
         // exact duplicates and they must survive the round trip.
@@ -600,7 +385,6 @@ mod tests {
     fn empty_snapshot_matches_nothing() {
         let snap = RuleSnapshot::empty();
         assert!(snap.is_empty());
-        assert_eq!(snap.shard_count(), 0);
         assert!(snap.matching(&seq_tags()).is_empty());
         assert!(snap.to_rule_set().is_empty());
     }
@@ -644,25 +428,23 @@ mod proptests {
         })
     }
 
-    proptest! {
-        /// Sharded merge is equivalent to the flat §4.4.2 merge: same
-        /// rules, same accumulation order, for any batch sequence.
-        #[test]
-        fn sharded_merge_equals_flat_merge(a in arb_rules(), b in arb_rules()) {
-            let mut flat = RuleSet::new();
-            let mut store = ShardedRuleStore::new();
-            flat.merge(a.clone());
-            flat.merge(b.clone());
-            store.merge(a);
-            store.merge(b);
-            prop_assert_eq!(store.to_rule_set(), flat);
-            prop_assert_eq!(store.len(), flat.len());
+    /// The store's rules split by shard, each shard in accumulation order.
+    fn per_shard(store: &ShardedRuleStore) -> BTreeMap<ShardSignature, Vec<Rule>> {
+        let mut shards: BTreeMap<ShardSignature, Vec<Rule>> = BTreeMap::new();
+        for rule in store.to_rule_set().rules {
+            shards
+                .entry(ShardSignature::of_rule(store.topo_bucket(), &rule))
+                .or_default()
+                .push(rule);
         }
+        shards
+    }
 
+    proptest! {
         /// Merging is order-independent across shards: any permutation of
         /// a batch that preserves the relative order of same-signature
-        /// rules produces the same store (rules in different shards never
-        /// interact).
+        /// rules leaves every shard the same (rules in different shards
+        /// never interact).
         #[test]
         fn merge_order_independent_across_shards(rules in arb_rules()) {
             let mut in_batch_order = ShardedRuleStore::new();
@@ -674,7 +456,7 @@ mod proptests {
             by_shard.sort_by_key(|r| ShardSignature::of_rule(0, r));
             let mut in_shard_order = ShardedRuleStore::new();
             in_shard_order.merge(by_shard);
-            prop_assert_eq!(&in_batch_order, &in_shard_order);
+            prop_assert_eq!(per_shard(&in_batch_order), per_shard(&in_shard_order));
 
             // Splitting one batch into two merges changes nothing either.
             let mid = rules.len() / 2;
@@ -685,7 +467,7 @@ mod proptests {
         }
 
         /// Any rule set — including unmerged duplicates — round-trips
-        /// bit-identically through the sharded store and back through the
+        /// bit-identically through the store and back through the
         /// RuleSet façade, and snapshots agree with the store.
         #[test]
         fn facade_roundtrip_is_bit_identical(rules in arb_rules()) {
@@ -695,18 +477,6 @@ mod proptests {
             prop_assert_eq!(store.snapshot().to_rule_set(), flat.clone());
             let json_back = RuleSet::from_json(&store.to_rule_set().to_json()).unwrap();
             prop_assert_eq!(json_back, flat);
-        }
-
-        /// Snapshot matching returns exactly what flat matching returns,
-        /// in the same order, for arbitrary stores and probe tags.
-        #[test]
-        fn snapshot_matching_equals_flat(rules in arb_rules(), probe in arb_tags()) {
-            let mut store = ShardedRuleStore::new();
-            store.merge(rules);
-            let flat = store.to_rule_set();
-            let flat_hits: Vec<Rule> = flat.matching(&probe).into_iter().cloned().collect();
-            let snap_hits: Vec<Rule> = store.snapshot().matching(&probe).into_iter().cloned().collect();
-            prop_assert_eq!(flat_hits, snap_hits);
         }
     }
 }

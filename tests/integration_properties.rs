@@ -79,26 +79,4 @@ proptest! {
         let parsed = RuleSet::from_json(&rs.to_json()).unwrap();
         prop_assert_eq!(parsed, rs);
     }
-
-    /// The sharded store is a drop-in for the flat set end to end: merge
-    /// through both, flatten the store through the façade, and the JSON
-    /// the paper's schema produces is byte-identical.
-    #[test]
-    fn sharded_store_facade_agrees_with_flat_json(v in 1i64..100_000, n in 1usize..6) {
-        use agents::{ContextTag, Guidance, Rule, RuleSet, ShardedRuleStore};
-        let all = ContextTag::all();
-        let batch: Vec<Rule> = (0..n)
-            .map(|i| Rule::new(
-                if i % 2 == 0 { "osc.max_dirty_mb" } else { "stripe_size" },
-                Guidance::RaiseToAtLeast(v + i as i64),
-                &[all[i % all.len()], all[(i + 3) % all.len()]],
-            ))
-            .collect();
-        let mut flat = RuleSet::new();
-        flat.merge(batch.clone());
-        let mut store = ShardedRuleStore::new();
-        store.merge(batch);
-        prop_assert_eq!(store.to_rule_set().to_json(), flat.to_json());
-        prop_assert_eq!(store.snapshot().to_rule_set(), flat);
-    }
 }
