@@ -11,7 +11,7 @@
 use crate::report::IoReport;
 use darshan::counters::{Counter, FCounter, COUNTERS};
 use darshan::Table;
-use llmsim::LlmBackend;
+use llmsim::SimLlm;
 use serde::{Deserialize, Serialize};
 use std::fmt::Write;
 
@@ -71,7 +71,7 @@ pub struct Answer {
 
 /// The Analysis Agent.
 pub struct AnalysisAgent<'b> {
-    backend: &'b mut dyn LlmBackend,
+    backend: &'b mut SimLlm,
 }
 
 /// Maximum dataframe rows rendered into the agent's context. The paper's
@@ -126,7 +126,7 @@ fn push_cell(s: &mut String, v: f64) {
 
 impl<'b> AnalysisAgent<'b> {
     /// Create an agent over an LLM backend (GPT-4o in the paper).
-    pub fn new(backend: &'b mut dyn LlmBackend) -> Self {
+    pub fn new(backend: &'b mut SimLlm) -> Self {
         AnalysisAgent { backend }
     }
 
@@ -545,7 +545,6 @@ mod tests {
 
     #[test]
     fn agent_charges_tokens() {
-        use llmsim::LlmBackend as _;
         let (header, tables) = tables_for(WorkloadKind::Ior16M);
         let mut backend = SimLlm::new(ModelProfile::gpt_4o(), 1);
         {

@@ -10,7 +10,7 @@
 use crate::report::IoReport;
 use crate::rules::{ContextTag, Guidance, Rule};
 use crate::tuning::Attempt;
-use llmsim::LlmBackend;
+use llmsim::SimLlm;
 use pfs::params::{TuningConfig, TUNABLE_NAMES};
 
 /// Generate rules from a completed run. Returns an empty vector when the
@@ -21,7 +21,7 @@ use pfs::params::{TuningConfig, TUNABLE_NAMES};
 /// (degraded topology, noisy neighbor), so rules learned under faults or
 /// contention carry their regime in the context and shard separately.
 pub fn reflect(
-    backend: &mut dyn LlmBackend,
+    backend: &mut SimLlm,
     report: &IoReport,
     history: &[Attempt],
     baseline_wall: f64,
@@ -215,7 +215,6 @@ mod tests {
 
     #[test]
     fn reflection_charges_tokens() {
-        use llmsim::LlmBackend as _;
         let mut b = SimLlm::new(ModelProfile::claude_37_sonnet(), 1);
         reflect(&mut b, &seq_report(), &improved_history(), 37.0, &[]);
         assert_eq!(b.usage().calls, 1);

@@ -22,7 +22,7 @@
 use crate::analysis::{AnalysisQuestion, Answer};
 use crate::report::{IoReport, WorkloadClass};
 use crate::rules::{Guidance, Rule};
-use llmsim::{FactQuality, LlmBackend, ParamFact};
+use llmsim::{FactQuality, ParamFact, SimLlm};
 use pfs::params::{Bound, TuningConfig};
 use pfs::topology::ClusterSpec;
 use ragx::ExtractedParam;
@@ -91,7 +91,7 @@ pub struct Attempt {
 ///
 /// The agent holds no backend reference: every entry point that consults
 /// the model ([`TuningAgent::new`], [`TuningAgent::decide`]) takes the
-/// [`LlmBackend`] as an argument. That keeps the agent an ownable state
+/// [`SimLlm`] as an argument. That keeps the agent an ownable state
 /// machine, which is what lets `stellar`'s `TuningSession` expose the
 /// tuning loop step by step without self-referential borrows.
 pub struct TuningAgent {
@@ -119,7 +119,7 @@ impl TuningAgent {
     /// report and scenario tags; the agent applies it as given.
     #[allow(clippy::too_many_arguments)]
     pub fn new(
-        backend: &mut dyn LlmBackend,
+        backend: &mut SimLlm,
         options: TuningOptions,
         topo: ClusterSpec,
         params: Vec<ExtractedParam>,
@@ -225,7 +225,7 @@ impl TuningAgent {
     }
 
     /// Main decision entry: what to do next.
-    pub fn decide(&mut self, backend: &mut dyn LlmBackend) -> ToolCall {
+    pub fn decide(&mut self, backend: &mut SimLlm) -> ToolCall {
         // Minor loop: clarify before the first configuration.
         if let Some(q) = self.next_question() {
             self.asked.push(q);
@@ -311,7 +311,7 @@ impl TuningAgent {
         self.history.iter().any(|a| &a.config == config)
     }
 
-    fn end(&mut self, backend: &mut dyn LlmBackend, reason: &str) -> ToolCall {
+    fn end(&mut self, backend: &mut SimLlm, reason: &str) -> ToolCall {
         backend.charge(
             &self.context_prompt("Decide next action"),
             &format!("Tool: End Tuning? — {reason}"),
@@ -325,7 +325,7 @@ impl TuningAgent {
 
     fn emit_run(
         &mut self,
-        backend: &mut dyn LlmBackend,
+        backend: &mut SimLlm,
         config: TuningConfig,
         rationale: Vec<(String, String)>,
     ) -> ToolCall {
@@ -424,7 +424,7 @@ impl TuningAgent {
     #[allow(clippy::too_many_arguments)]
     fn apply_move(
         &mut self,
-        backend: &mut dyn LlmBackend,
+        backend: &mut SimLlm,
         config: &mut TuningConfig,
         rationale: &mut Vec<(String, String)>,
         name: &str,
@@ -503,7 +503,7 @@ impl TuningAgent {
     /// stripe count misread as spreading a directory's files across OSTs).
     fn misdirected_value(
         &mut self,
-        backend: &mut dyn LlmBackend,
+        backend: &mut SimLlm,
         name: &str,
         intended: i64,
         fact: &ParamFact,
@@ -545,7 +545,7 @@ impl TuningAgent {
     /// The class playbook at a given escalation level.
     fn propose(
         &mut self,
-        backend: &mut dyn LlmBackend,
+        backend: &mut SimLlm,
         level: u32,
     ) -> (TuningConfig, Vec<(String, String)>) {
         let mut config = TuningConfig::lustre_default();
@@ -844,7 +844,7 @@ impl TuningAgent {
     /// vary one untried secondary dimension.
     fn propose_alternate(
         &mut self,
-        backend: &mut dyn LlmBackend,
+        backend: &mut SimLlm,
         base: TuningConfig,
         alternate: u32,
     ) -> (TuningConfig, Vec<(String, String)>) {

@@ -1,7 +1,6 @@
 //! The backend handle agents hold.
 //!
-//! [`LlmBackend`] is the seam where a real provider could be plugged in;
-//! [`SimLlm`] is the deterministic implementation used throughout the
+//! [`SimLlm`] is the deterministic backend used throughout the
 //! reproduction. It provides exactly the three capabilities the agents need:
 //!
 //! 1. **fact recall** — grounded (truth passes through) or parametric
@@ -17,32 +16,6 @@ use crate::profiles::ModelProfile;
 use crate::tokens::{estimate_tokens, PrefixCache, UsageMeter};
 use simcore::rng::{combine, stable_hash};
 use simcore::SimRng;
-
-/// Minimal LLM interface the agents depend on.
-pub trait LlmBackend {
-    /// Model name (transcripts, cost table).
-    fn model_name(&self) -> &str;
-
-    /// Recall what the model knows about a parameter. `grounding` carries
-    /// the retrieved documentation when RAG supplied it; `truth` is the
-    /// ground-truth fact used to service grounded answers and to seed
-    /// corruption.
-    fn param_fact(&mut self, truth: &ParamFact, grounded: bool) -> ParamFact;
-
-    /// A multiplicative jitter around 1.0 for value selection; tighter for
-    /// disciplined models.
-    fn decision_jitter(&mut self, context: &str) -> f64;
-
-    /// With probability tied to (1 - discipline), the model deviates from
-    /// the policy's first-choice move (picks a secondary candidate).
-    fn deviates(&mut self, context: &str) -> bool;
-
-    /// Meter one inference call.
-    fn charge(&mut self, prompt: &str, response: &str);
-
-    /// Usage so far.
-    fn usage(&self) -> &UsageMeter;
-}
 
 /// Deterministic simulated backend.
 #[derive(Debug, Clone)]
@@ -77,14 +50,12 @@ impl SimLlm {
             stable_hash(context),
         ))
     }
-}
 
-impl LlmBackend for SimLlm {
-    fn model_name(&self) -> &str {
-        self.profile.name
-    }
-
-    fn param_fact(&mut self, truth: &ParamFact, grounded: bool) -> ParamFact {
+    /// Recall what the model knows about a parameter. `grounding` carries
+    /// the retrieved documentation when RAG supplied it; `truth` is the
+    /// ground-truth fact used to service grounded answers and to seed
+    /// corruption.
+    pub fn param_fact(&mut self, truth: &ParamFact, grounded: bool) -> ParamFact {
         if grounded {
             ParamFact::grounded(&truth.name, &truth.definition, truth.min, truth.max)
         } else {
@@ -98,19 +69,24 @@ impl LlmBackend for SimLlm {
         }
     }
 
-    fn decision_jitter(&mut self, context: &str) -> f64 {
+    /// A multiplicative jitter around 1.0 for value selection; tighter for
+    /// disciplined models.
+    pub fn decision_jitter(&mut self, context: &str) -> f64 {
         let mut rng = self.rng_for(context);
         // Discipline 1.0 -> sigma 0; discipline 0.8 -> sigma 0.3.
         let sigma = (1.0 - self.profile.discipline).max(0.0) * 1.5;
         rng.lognormal_factor(sigma)
     }
 
-    fn deviates(&mut self, context: &str) -> bool {
+    /// With probability tied to (1 - discipline), the model deviates from
+    /// the policy's first-choice move (picks a secondary candidate).
+    pub fn deviates(&mut self, context: &str) -> bool {
         let mut rng = self.rng_for(context);
         rng.chance((1.0 - self.profile.discipline) * 1.5)
     }
 
-    fn charge(&mut self, prompt: &str, response: &str) {
+    /// Meter one inference call.
+    pub fn charge(&mut self, prompt: &str, response: &str) {
         self.turn += 1;
         let input = estimate_tokens(prompt);
         let cached = self.cache.observe(prompt);
@@ -118,7 +94,8 @@ impl LlmBackend for SimLlm {
         self.usage.record(input, cached, output);
     }
 
-    fn usage(&self) -> &UsageMeter {
+    /// Usage so far.
+    pub fn usage(&self) -> &UsageMeter {
         &self.usage
     }
 }

@@ -26,8 +26,6 @@
 //!   [`failures::FailureInjection`] fails a seeded, submission-indexed
 //!   fraction of calls with [`transport::CallStatus::Failed`] so retry and
 //!   isolation machinery can be exercised reproducibly.
-//!
-//! Real providers can be substituted by implementing [`backend::LlmBackend`].
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
@@ -39,7 +37,7 @@ pub mod profiles;
 pub mod tokens;
 pub mod transport;
 
-pub use backend::{LlmBackend, SimLlm};
+pub use backend::SimLlm;
 pub use facts::{FactQuality, ParamFact};
 pub use failures::{FailureInjection, FailureProfile};
 pub use profiles::ModelProfile;

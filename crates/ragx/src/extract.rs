@@ -21,7 +21,7 @@
 use crate::chunk::chunk_default;
 use crate::index::VectorIndex;
 use crate::manual::{generate_manual, section_marker};
-use llmsim::{LlmBackend, ParamFact};
+use llmsim::{ParamFact, SimLlm};
 use pfs::params::{Bound, ParamRegistry};
 use serde::{Deserialize, Serialize};
 
@@ -146,7 +146,7 @@ impl RagExtractor {
 
     /// Run the full pipeline. `backend` is the extraction LLM (the paper
     /// defaults to GPT-4o); it is token-metered per parameter judged.
-    pub fn extract(&self, backend: &mut dyn LlmBackend) -> (Vec<ExtractedParam>, ExtractionReport) {
+    pub fn extract(&self, backend: &mut SimLlm) -> (Vec<ExtractedParam>, ExtractionReport) {
         let mut report = ExtractionReport {
             total_params: self.registry.len(),
             ..Default::default()
@@ -371,7 +371,6 @@ mod tests {
         let ex = extractor();
         let mut backend = SimLlm::new(ModelProfile::gpt_4o(), 1);
         ex.extract(&mut backend);
-        use llmsim::LlmBackend as _;
         assert!(backend.usage().calls as usize >= 13);
         assert!(backend.usage().input_tokens > 1000);
     }

@@ -6,7 +6,7 @@
 //! definitions and ranges (the ✓ / ~ / ✗ of the figure).
 
 use crate::extract::RagExtractor;
-use llmsim::{FactQuality, LlmBackend, ModelProfile, ParamFact, SimLlm};
+use llmsim::{FactQuality, ModelProfile, ParamFact, SimLlm};
 use pfs::params::{Bound, ParamRegistry, TUNABLE_NAMES};
 use serde::{Deserialize, Serialize};
 

@@ -53,8 +53,8 @@ use agents::{
 };
 use darshan::Table;
 use llmsim::{
-    CallError, CallHandle, CallStatus, FailureInjection, LatencyProfile, LlmBackend, SimLlm,
-    SimTransport, UsageMeter,
+    CallError, CallHandle, CallStatus, FailureInjection, LatencyProfile, SimLlm, SimTransport,
+    UsageMeter,
 };
 use pfs::params::{ParamRegistry, TuningConfig};
 use serde::{Deserialize, Serialize};
