@@ -199,9 +199,8 @@ impl TuningAgent {
     }
 
     fn next_question(&self) -> Option<AnalysisQuestion> {
-        if !self.options.use_analysis || self.report.is_none() {
-            return None;
-        }
+        // `new` keeps the report only when `use_analysis` is on.
+        self.report.as_ref()?;
         if self.asked.len() >= self.options.max_follow_ups || !self.history.is_empty() {
             return None;
         }
@@ -523,22 +522,8 @@ impl TuningAgent {
             return value;
         };
         let env = config.env(&self.topo);
-        let lo = match &p.min {
-            Bound::Const(v) => *v,
-            Bound::Expr(e) => pfs::params::Expr::parse(e)
-                .ok()
-                .and_then(|x| x.eval(&env).ok())
-                .map(|v| v.floor() as i64)
-                .unwrap_or(i64::MIN),
-        };
-        let hi = match &p.max {
-            Bound::Const(v) => *v,
-            Bound::Expr(e) => pfs::params::Expr::parse(e)
-                .ok()
-                .and_then(|x| x.eval(&env).ok())
-                .map(|v| v.floor() as i64)
-                .unwrap_or(i64::MAX),
-        };
+        let lo = p.min.resolve(&env).unwrap_or(i64::MIN);
+        let hi = p.max.resolve(&env).unwrap_or(i64::MAX);
         value.clamp(lo.min(hi), hi.max(lo))
     }
 
