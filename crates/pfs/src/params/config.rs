@@ -6,7 +6,6 @@
 //! how STELLAR evaluates `expression` ranges "based on actual system values
 //! during tuning" (§4.2.2).
 
-use super::expr::Env;
 use super::registry::ParamRegistry;
 use crate::topology::ClusterSpec;
 use serde::{Deserialize, Serialize};
@@ -274,28 +273,6 @@ impl TuningConfig {
             .filter(|n| self.get(n).expect("known") != other.get(n).expect("known"))
             .copied()
             .collect()
-    }
-}
-
-/// `Env` adapter so expression evaluation can read a config + topology pair.
-pub struct ConfigEnv<'a> {
-    map: BTreeMap<String, f64>,
-    _marker: std::marker::PhantomData<&'a ()>,
-}
-
-impl<'a> ConfigEnv<'a> {
-    /// Snapshot the environment of `cfg` on `topo`.
-    pub fn new(cfg: &TuningConfig, topo: &ClusterSpec) -> Self {
-        ConfigEnv {
-            map: cfg.env(topo),
-            _marker: std::marker::PhantomData,
-        }
-    }
-}
-
-impl<'a> Env for ConfigEnv<'a> {
-    fn lookup(&self, name: &str) -> Option<f64> {
-        self.map.get(name).copied()
     }
 }
 

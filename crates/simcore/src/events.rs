@@ -158,11 +158,6 @@ impl<E> EventQueue<E> {
         Some(first)
     }
 
-    /// Time of the earliest pending event.
-    pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|e| e.time)
-    }
-
     /// Number of pending events.
     pub fn len(&self) -> usize {
         self.heap.len()

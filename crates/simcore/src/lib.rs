@@ -16,7 +16,7 @@
 //!   distributions the PFS model needs (lognormal service-time noise,
 //!   exponentials, bounded uniforms).
 //! * [`stats`] — online mean/variance accumulators, confidence intervals and
-//!   log2 histograms used by the measurement harness.
+//!   percentile samples used by the measurement harness.
 //!
 //! The kernel makes one global guarantee that everything downstream relies on:
 //! **given the same seed and the same inputs, a simulation is bit-for-bit

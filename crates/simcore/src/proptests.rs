@@ -4,7 +4,7 @@
 #![cfg(test)]
 
 use crate::resources::{BandwidthChannel, FifoServer, MultiServer, Window};
-use crate::stats::{Accumulator, Histogram};
+use crate::stats::Accumulator;
 use crate::time::{Duration, SimTime};
 use crate::EventQueue;
 use proptest::prelude::*;
@@ -155,22 +155,6 @@ proptest! {
         prop_assert_eq!(ab.count(), whole.count());
         prop_assert_eq!(ab.min(), whole.min());
         prop_assert_eq!(ab.max(), whole.max());
-    }
-
-    /// Histogram counts and sums are conserved under merge.
-    #[test]
-    fn histogram_merge_conserves(xs in proptest::collection::vec(0u64..1_000_000_000, 1..100), split in 1usize..99) {
-        let split = split.min(xs.len());
-        let mut whole = Histogram::new();
-        for &x in &xs { whole.add(x); }
-        let mut a = Histogram::new();
-        let mut b = Histogram::new();
-        for &x in &xs[..split] { a.add(x); }
-        for &x in &xs[split..] { b.add(x); }
-        a.merge(&b);
-        prop_assert_eq!(a.count(), whole.count());
-        prop_assert_eq!(a.sum(), whole.sum());
-        prop_assert_eq!(a.modal_bin_floor(), whole.modal_bin_floor());
     }
 
     /// RNG streams with the same seed agree; derived streams are stable.

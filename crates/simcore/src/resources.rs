@@ -173,12 +173,6 @@ impl Window {
         }
     }
 
-    /// Replace the capacity (used when a tunable changes between runs).
-    pub fn set_capacity(&mut self, capacity: usize) {
-        assert!(capacity > 0, "Window capacity must be positive");
-        self.capacity = capacity;
-    }
-
     /// Earliest instant at or after `arrival` when a slot is available.
     /// Call [`Window::complete`] once the operation's end time is known.
     pub fn admit(&mut self, arrival: SimTime) -> SimTime {
@@ -204,20 +198,6 @@ impl Window {
     /// Record that an admitted operation completes at `end`.
     pub fn complete(&mut self, end: SimTime) {
         self.inflight_ends.push(Reverse(end));
-    }
-
-    /// Earliest completion among in-flight operations, if any.
-    pub fn earliest_inflight_end(&self) -> Option<SimTime> {
-        self.inflight_ends.peek().map(|r| r.0)
-    }
-
-    /// The instant all currently in-flight operations have completed.
-    pub fn drain_time(&self) -> SimTime {
-        self.inflight_ends
-            .iter()
-            .map(|r| r.0)
-            .max()
-            .unwrap_or(SimTime::ZERO)
     }
 
     /// Number of admissions so far.
@@ -389,17 +369,6 @@ mod tests {
         // Arrival after the in-flight op completed: no stall.
         assert_eq!(w.admit(t(2)), t(2));
         assert_eq!(w.stall_time(), Duration::ZERO);
-    }
-
-    #[test]
-    fn window_drain_time() {
-        let mut w = Window::new(4);
-        w.admit(t(0));
-        w.complete(t(3));
-        w.admit(t(0));
-        w.complete(t(7));
-        assert_eq!(w.drain_time(), t(7));
-        assert_eq!(w.earliest_inflight_end(), Some(t(3)));
     }
 
     #[test]

@@ -2,8 +2,7 @@
 //!
 //! The paper's protocol (§5.1) reports the mean of eight replications with a
 //! 90% confidence interval; [`Accumulator`] implements Welford's online
-//! mean/variance plus a small-sample t-based CI. [`Histogram`] provides the
-//! log2-binned size distributions the Darshan tables and I/O reports use.
+//! mean/variance plus a small-sample t-based CI.
 
 use serde::{Deserialize, Serialize};
 
@@ -94,11 +93,6 @@ impl Accumulator {
         let df = (self.n - 1) as usize;
         let t = if df <= 30 { T90[df - 1] } else { 1.645 };
         t * self.std_dev() / (self.n as f64).sqrt()
-    }
-
-    /// `(mean, ci90_half_width)` convenience pair.
-    pub fn mean_ci90(&self) -> (f64, f64) {
-        (self.mean(), self.ci90_half_width())
     }
 
     /// Merge another accumulator into this one (parallel reduction).
@@ -223,123 +217,6 @@ impl Samples {
     }
 }
 
-/// Log2-binned histogram of non-negative integer values (sizes, latencies).
-///
-/// Bin `i` counts values in `[2^i, 2^(i+1))`; bin 0 also includes 0.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct Histogram {
-    bins: Vec<u64>,
-    total: u64,
-    sum: u128,
-}
-
-impl Default for Histogram {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl Histogram {
-    /// Create an empty histogram covering the full u64 range (64 bins).
-    pub fn new() -> Self {
-        Histogram {
-            bins: vec![0; 64],
-            total: 0,
-            sum: 0,
-        }
-    }
-
-    /// Record one value.
-    pub fn add(&mut self, value: u64) {
-        let bin = if value <= 1 {
-            0
-        } else {
-            63 - value.leading_zeros() as usize
-        };
-        self.bins[bin] += 1;
-        self.total += 1;
-        self.sum += value as u128;
-    }
-
-    /// Number of recorded values.
-    pub fn count(&self) -> u64 {
-        self.total
-    }
-
-    /// Sum of recorded values.
-    pub fn sum(&self) -> u128 {
-        self.sum
-    }
-
-    /// Mean of recorded values (0 when empty).
-    pub fn mean(&self) -> f64 {
-        if self.total == 0 {
-            0.0
-        } else {
-            self.sum as f64 / self.total as f64
-        }
-    }
-
-    /// Count in the bin containing `value`.
-    pub fn count_at(&self, value: u64) -> u64 {
-        let bin = if value <= 1 {
-            0
-        } else {
-            63 - value.leading_zeros() as usize
-        };
-        self.bins[bin]
-    }
-
-    /// Lower bound of the most populated bin (the modal size class).
-    pub fn modal_bin_floor(&self) -> u64 {
-        let (idx, _) = self
-            .bins
-            .iter()
-            .enumerate()
-            .max_by_key(|&(i, c)| (*c, std::cmp::Reverse(i)))
-            .expect("64 bins");
-        if idx == 0 {
-            0
-        } else {
-            1u64 << idx
-        }
-    }
-
-    /// Fraction of values strictly below `threshold`.
-    pub fn fraction_below(&self, threshold: u64) -> f64 {
-        if self.total == 0 {
-            return 0.0;
-        }
-        // Conservative: whole bins below the threshold's bin, since exact
-        // values within a bin are not retained.
-        let tbin = if threshold <= 1 {
-            0
-        } else {
-            63 - threshold.leading_zeros() as usize
-        };
-        let below: u64 = self.bins[..tbin].iter().sum();
-        below as f64 / self.total as f64
-    }
-
-    /// Iterate `(bin_floor, count)` over non-empty bins.
-    pub fn non_empty_bins(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
-        self.bins
-            .iter()
-            .enumerate()
-            .filter(|(_, &c)| c > 0)
-            .map(|(i, &c)| (if i == 0 { 0 } else { 1u64 << i }, c))
-    }
-
-    /// Merge another histogram into this one.
-    pub fn merge(&mut self, other: &Histogram) {
-        for (a, b) in self.bins.iter_mut().zip(other.bins.iter()) {
-            *a += b;
-        }
-        self.total += other.total;
-        self.sum += other.sum;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -412,48 +289,6 @@ mod tests {
     }
 
     #[test]
-    fn histogram_binning() {
-        let mut h = Histogram::new();
-        h.add(0);
-        h.add(1);
-        h.add(2);
-        h.add(3);
-        h.add(65536);
-        assert_eq!(h.count(), 5);
-        assert_eq!(h.count_at(0), 2); // 0 and 1 share bin 0
-        assert_eq!(h.count_at(2), 2); // 2 and 3 in [2,4)
-        assert_eq!(h.count_at(65536), 1);
-        assert_eq!(h.sum(), 65542);
-    }
-
-    #[test]
-    fn histogram_modal_and_fraction() {
-        let mut h = Histogram::new();
-        for _ in 0..10 {
-            h.add(2048); // bin [2048,4096)
-        }
-        for _ in 0..3 {
-            h.add(1 << 20);
-        }
-        assert_eq!(h.modal_bin_floor(), 2048);
-        assert!((h.fraction_below(1 << 20) - 10.0 / 13.0).abs() < 1e-12);
-        assert_eq!(h.fraction_below(1), 0.0);
-    }
-
-    #[test]
-    fn histogram_merge() {
-        let mut a = Histogram::new();
-        let mut b = Histogram::new();
-        a.add(10);
-        b.add(10);
-        b.add(1000);
-        a.merge(&b);
-        assert_eq!(a.count(), 3);
-        assert_eq!(a.count_at(10), 2);
-        assert_eq!(a.count_at(1000), 1);
-    }
-
-    #[test]
     fn samples_percentiles_interpolate() {
         let mut s = Samples::with_capacity(4);
         assert_eq!(s.percentile(50.0), 0.0);
@@ -519,14 +354,5 @@ mod tests {
         s.add(-0.0);
         assert_eq!(s.percentile(0.0).to_bits(), (-0.0f64).to_bits());
         assert_eq!(s.percentile(100.0).to_bits(), 0.0f64.to_bits());
-    }
-
-    #[test]
-    fn histogram_mean() {
-        let mut h = Histogram::new();
-        assert_eq!(h.mean(), 0.0);
-        h.add(4);
-        h.add(8);
-        assert_eq!(h.mean(), 6.0);
     }
 }
