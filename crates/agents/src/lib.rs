@@ -20,14 +20,15 @@
 //!
 //! [`rules`] implements the JSON rule-set format of §4.4.1 and the merge /
 //! conflict-resolution protocol of §4.4.2; [`reflect`] distills finished
-//! runs into new rules. [`store`] scales the accumulated knowledge: a
-//! [`ShardedRuleStore`] shards rules by context-tag signature behind
-//! copy-on-write [`Arc`](std::sync::Arc) shards, so concurrent campaign
-//! rounds read O(1) [`RuleSnapshot`]s instead of cloning the whole set.
+//! runs into new rules. [`store`] shares the accumulated knowledge: a
+//! [`ShardedRuleStore`] is a copy-on-write handle on one [`RuleSet`], so
+//! concurrent campaign cells read O(1) [`RuleSnapshot`]s instead of
+//! cloning the whole set, and merging and matching stay
+//! [`RuleSet::merge`] and [`RuleSet::matching`].
 //!
 //! # Example
 //!
-//! Learned rules accumulate in a sharded store; readers take snapshots:
+//! Learned rules accumulate in the store; readers take snapshots:
 //!
 //! ```
 //! use agents::{ContextTag, Guidance, Rule, ShardedRuleStore};

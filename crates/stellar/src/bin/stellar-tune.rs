@@ -43,7 +43,7 @@
 //!   --threads <n>      worker threads (default: hardware parallelism)
 //!   --schedule <s>     cell order: fifo | lpt | adaptive (default adaptive)
 //!   --progress         draw a live per-worker status board on stderr
-//!   --rule-shards      print the final sharded rule store's census
+//!   --rule-shards      print the final rule census, one row per tag set
 //!   --resume <record.jsonl>   replay the completed rounds of a partial
 //!                      run record (same grid and flags) and execute only
 //!                      the remainder; the final report is bit-identical

@@ -21,13 +21,13 @@
 //!
 //! ## Rule storage
 //!
-//! Accumulated rules live in a [`ShardedRuleStore`] keyed by context-tag
-//! signature and the engine's topology bucket. Round snapshots are O(1)
-//! [`RuleSnapshot`]s — warm rounds no longer clone the whole rule set per
-//! cell, so campaign cost stays flat as the store grows (see the
-//! `rule_store` bench). Round merges touch only the shards the learned
-//! rules land in, and merge order stays the grid order, keeping
-//! serial == parallel.
+//! Accumulated rules live in a [`ShardedRuleStore`], a copy-on-write
+//! handle on one [`RuleSet`]. Round snapshots are O(1) [`RuleSnapshot`]s
+//! that share the set, so cells never clone it (see the `rule_store`
+//! bench). Round merges are [`RuleSet::merge`] in grid order, keeping
+//! serial == parallel; a merge copies the set only while a snapshot
+//! still shares it, which here happens once per campaign, because the
+//! pre-campaign snapshot outlives the first merge.
 //!
 //! ## Scheduling
 //!
@@ -359,8 +359,8 @@ pub struct CampaignReport {
     /// The final rule set (starting rules plus merged learnings), as the
     /// flat serialization façade — save this with [`RuleSet::to_json`].
     pub rules: RuleSet,
-    /// The same final rules in sharded form, for O(1) snapshots into
-    /// follow-up campaigns and per-shard introspection
+    /// The same final rules as a store, for O(1) snapshots into
+    /// follow-up campaigns and the per-tag-set census
     /// ([`ShardedRuleStore::census`]; the CLI's `campaign --rule-shards`).
     pub rule_store: ShardedRuleStore,
     /// Scheduling telemetry: policy, chosen worker count (including
@@ -678,7 +678,7 @@ impl<'e> Campaign<'e> {
     /// fully derived (workload name + grid position already mixed in), so
     /// this bypasses the engine's SeedPolicy instead of letting
     /// PerWorkload hash the name in a second time. The snapshot clone is
-    /// O(1): cells share the round's shards, not copies.
+    /// O(1): cells share the round's rule set, not copies.
     fn open_session(
         &self,
         seed: u64,
@@ -936,9 +936,9 @@ impl<'e> Campaign<'e> {
                     (replayed.clone(), zeroed)
                 }
                 None => {
-                    // O(1) either way: snapshots share shards, they don't
-                    // clone rules — warm rounds no longer pay for the set
-                    // they've grown.
+                    // O(1) either way: snapshots share the set, they
+                    // don't clone rules. This one is dropped with the
+                    // round's sessions before the merges below.
                     let snapshot = match self.mode {
                         RuleMode::Cold => base_snapshot.clone(),
                         RuleMode::Warm => store.snapshot(),
@@ -983,8 +983,8 @@ impl<'e> Campaign<'e> {
                 }
             };
             // Merge learnings in grid order — deterministic regardless of
-            // which thread finished first. Only the shards the new rules
-            // land in are copied; outstanding snapshots are untouched.
+            // which thread finished first. Outstanding snapshots are
+            // untouched: the store copies the set away from them.
             // Canonical observer events follow the same grid order, so an
             // attached emitter's semantic stream is reproducible no matter
             // which worker finished which cell first. Failed cells merge

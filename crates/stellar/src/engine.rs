@@ -227,7 +227,7 @@ impl Stellar {
     /// The session consults `rules` when priming the Tuning Agent —
     /// anything convertible into a [`RuleSnapshot`]: a
     /// [`agents::ShardedRuleStore`] snapshot (O(1), the campaign path) or
-    /// a flat [`RuleSet`] (partitioned into shards on entry). Merge the
+    /// a flat [`RuleSet`] (moved into the snapshot). Merge the
     /// finished run's `new_rules` back into your global store to
     /// accumulate knowledge, as [`Stellar::tune`] does.
     pub fn session<'a>(

@@ -32,10 +32,11 @@
 //!   interrupted campaign can be resumed crash-consistently from its
 //!   partial run record ([`Campaign::resume_from`]).
 //!
-//! Accumulated rules live in a sharded, copy-on-write
+//! Accumulated rules live in a copy-on-write
 //! [`agents::ShardedRuleStore`]; sessions and campaign rounds read O(1)
-//! [`agents::RuleSnapshot`]s instead of cloning the set (see
-//! `ARCHITECTURE.md` at the repository root for the full data flow).
+//! [`agents::RuleSnapshot`]s that share the set instead of cloning it
+//! (see `ARCHITECTURE.md` at the repository root for the full data
+//! flow).
 //!
 //! Both layers stream progress: sessions to [`RunObserver`]s, campaigns
 //! to [`CampaignObserver`]s. The [`obs`] module turns those streams into
