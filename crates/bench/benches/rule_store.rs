@@ -10,7 +10,7 @@ use std::hint::black_box;
 
 const SIZES: [usize; 3] = [1_000, 10_000, 100_000];
 
-/// `n` distinct rules spread over the tag-pair signature space (built
+/// `n` distinct rules spread over the 9×9 tag-pair signature space (built
 /// directly, not via `merge`, so setup stays O(n) at 100k).
 fn synth_rules(n: usize) -> RuleSet {
     let all = ContextTag::all();
