@@ -67,78 +67,85 @@ impl TraceSink for Collector {
         let Some(file) = rec.file else {
             return; // pure directory ops are not per-file records
         };
+        self.entry(rec.rank, file, rec.module).apply(rec);
+    }
+}
+
+impl FileRecord {
+    /// Account one operation of this record's rank, file and module.
+    pub(crate) fn apply(&mut self, rec: &OpRecord) {
+        let end_secs = rec.end.as_secs_f64();
         let duration = (rec.end - rec.start).as_secs_f64();
-        let r = self.entry(rec.rank, file, rec.module);
         match rec.class {
             OpClass::Read => {
-                r.bump(Counter::Reads, 1);
-                r.bump(Counter::BytesRead, rec.bytes as i64);
-                r.raise(Counter::MaxByteRead, (rec.offset + rec.bytes) as i64);
-                r.bump(read_size_bucket(rec.bytes), 1);
-                r.fadd(FCounter::ReadTime, duration);
-                r.fraise(FCounter::MaxReadTime, duration);
-                if let Some(prev_end) = r.last_read_end {
+                self.bump(Counter::Reads, 1);
+                self.bump(Counter::BytesRead, rec.bytes as i64);
+                self.raise(Counter::MaxByteRead, (rec.offset + rec.bytes) as i64);
+                self.bump(read_size_bucket(rec.bytes), 1);
+                self.fadd(FCounter::ReadTime, duration);
+                self.fraise(FCounter::MaxReadTime, duration);
+                if let Some(prev_end) = self.last_read_end {
                     if rec.offset == prev_end {
-                        r.bump(Counter::ConsecReads, 1);
+                        self.bump(Counter::ConsecReads, 1);
                     }
                     if rec.offset >= prev_end {
-                        r.bump(Counter::SeqReads, 1);
+                        self.bump(Counter::SeqReads, 1);
                     }
                 }
-                r.last_read_end = Some(rec.offset + rec.bytes);
-                if r.last_was_write == Some(true) {
-                    r.bump(Counter::RwSwitches, 1);
+                self.last_read_end = Some(rec.offset + rec.bytes);
+                if self.last_was_write == Some(true) {
+                    self.bump(Counter::RwSwitches, 1);
                 }
-                r.last_was_write = Some(false);
+                self.last_was_write = Some(false);
             }
             OpClass::Write => {
-                r.bump(Counter::Writes, 1);
-                r.bump(Counter::BytesWritten, rec.bytes as i64);
-                r.raise(Counter::MaxByteWritten, (rec.offset + rec.bytes) as i64);
-                r.bump(write_size_bucket(rec.bytes), 1);
-                r.fadd(FCounter::WriteTime, duration);
-                r.fraise(FCounter::MaxWriteTime, duration);
-                if let Some(prev_end) = r.last_write_end {
+                self.bump(Counter::Writes, 1);
+                self.bump(Counter::BytesWritten, rec.bytes as i64);
+                self.raise(Counter::MaxByteWritten, (rec.offset + rec.bytes) as i64);
+                self.bump(write_size_bucket(rec.bytes), 1);
+                self.fadd(FCounter::WriteTime, duration);
+                self.fraise(FCounter::MaxWriteTime, duration);
+                if let Some(prev_end) = self.last_write_end {
                     if rec.offset == prev_end {
-                        r.bump(Counter::ConsecWrites, 1);
+                        self.bump(Counter::ConsecWrites, 1);
                     }
                     if rec.offset >= prev_end {
-                        r.bump(Counter::SeqWrites, 1);
+                        self.bump(Counter::SeqWrites, 1);
                     }
                 }
-                r.last_write_end = Some(rec.offset + rec.bytes);
-                if r.last_was_write == Some(false) {
-                    r.bump(Counter::RwSwitches, 1);
+                self.last_write_end = Some(rec.offset + rec.bytes);
+                if self.last_was_write == Some(false) {
+                    self.bump(Counter::RwSwitches, 1);
                 }
-                r.last_was_write = Some(true);
+                self.last_was_write = Some(true);
             }
             OpClass::Open => {
-                r.bump(Counter::Opens, 1);
-                r.fadd(FCounter::MetaTime, duration);
+                self.bump(Counter::Opens, 1);
+                self.fadd(FCounter::MetaTime, duration);
                 let start = rec.start.as_secs_f64();
-                let cur = r.fget(FCounter::OpenStartTimestamp);
+                let cur = self.fget(FCounter::OpenStartTimestamp);
                 if cur == 0.0 || start < cur {
-                    r.fset(FCounter::OpenStartTimestamp, start);
+                    self.fset(FCounter::OpenStartTimestamp, start);
                 }
             }
             OpClass::Stat => {
-                r.bump(Counter::Stats, 1);
-                r.fadd(FCounter::MetaTime, duration);
+                self.bump(Counter::Stats, 1);
+                self.fadd(FCounter::MetaTime, duration);
             }
             OpClass::Close => {
-                r.fadd(FCounter::MetaTime, duration);
-                r.fraise(FCounter::CloseEndTimestamp, end_secs);
+                self.fadd(FCounter::MetaTime, duration);
+                self.fraise(FCounter::CloseEndTimestamp, end_secs);
             }
             OpClass::Unlink => {
-                r.bump(Counter::Unlinks, 1);
-                r.fadd(FCounter::MetaTime, duration);
+                self.bump(Counter::Unlinks, 1);
+                self.fadd(FCounter::MetaTime, duration);
             }
             OpClass::Sync => {
-                r.bump(Counter::Fsyncs, 1);
-                r.fadd(FCounter::MetaTime, duration);
+                self.bump(Counter::Fsyncs, 1);
+                self.fadd(FCounter::MetaTime, duration);
             }
             OpClass::DirOp => {
-                r.fadd(FCounter::MetaTime, duration);
+                self.fadd(FCounter::MetaTime, duration);
             }
         }
     }
@@ -267,13 +274,186 @@ mod proptests {
     use crate::counters::{Counter, COUNTERS};
     use proptest::prelude::*;
     use simcore::time::SimTime;
+    use std::collections::BTreeMap;
 
     fn arb_ops() -> impl Strategy<Value = Vec<(u8, u32, u64, u64)>> {
         // (class selector, file, offset, len)
         proptest::collection::vec((0u8..4, 1u32..4, 0u64..1_000_000, 1u64..100_000), 1..200)
     }
 
+    /// The collector as it was keyed by `(rank, file, module)` in one hash
+    /// map: `Collector` must produce the same log for every trace.
+    struct KeyedCollector {
+        exe: String,
+        nprocs: u32,
+        records: HashMap<(u32, FileId, Module), FileRecord>,
+        last_end: f64,
+    }
+
+    impl KeyedCollector {
+        fn record(&mut self, rec: &OpRecord) {
+            let end_secs = rec.end.as_secs_f64();
+            if end_secs > self.last_end {
+                self.last_end = end_secs;
+            }
+            let Some(file) = rec.file else {
+                return;
+            };
+            self.records
+                .entry((rec.rank, file, rec.module))
+                .or_insert_with(|| FileRecord::new(rec.rank, file, rec.module))
+                .apply(rec);
+        }
+
+        fn finish(self) -> DarshanLog {
+            let mut records: Vec<FileRecord> = self.records.into_values().collect();
+            records.sort_by_key(|r| (r.module.name(), r.file, r.rank));
+            let mut files: Vec<FileId> = records.iter().map(|r| r.file).collect();
+            files.sort();
+            files.dedup();
+            let mut log = DarshanLog {
+                header: JobHeader {
+                    exe: self.exe,
+                    nprocs: self.nprocs,
+                    runtime_secs: self.last_end,
+                    file_count: files.len() as u64,
+                },
+                records,
+            };
+            keyed_variance(&mut log);
+            log
+        }
+    }
+
+    /// The shared-file variance reduction over a map of every
+    /// `(module, file)`, which holds for records in any order.
+    fn keyed_variance(log: &mut DarshanLog) {
+        #[derive(Default)]
+        struct Agg {
+            times: Vec<f64>,
+            bytes: Vec<f64>,
+        }
+        let mut by_file: BTreeMap<(Module, FileId), Agg> = BTreeMap::new();
+        for r in &log.records {
+            let a = by_file.entry((r.module, r.file)).or_default();
+            a.times
+                .push(r.fget(FCounter::ReadTime) + r.fget(FCounter::WriteTime));
+            a.bytes
+                .push((r.get(Counter::BytesRead) + r.get(Counter::BytesWritten)) as f64);
+        }
+        let variance = |xs: &[f64]| -> f64 {
+            if xs.len() < 2 {
+                return 0.0;
+            }
+            let mean = xs.iter().sum::<f64>() / xs.len() as f64;
+            xs.iter().map(|x| (x - mean) * (x - mean)).sum::<f64>() / xs.len() as f64
+        };
+        let stats: BTreeMap<(Module, FileId), (f64, f64, usize)> = by_file
+            .into_iter()
+            .map(|(k, a)| (k, (variance(&a.times), variance(&a.bytes), a.times.len())))
+            .collect();
+        for r in &mut log.records {
+            if let Some(&(vt, vb, n)) = stats.get(&(r.module, r.file)) {
+                if n > 1 {
+                    r.fset(FCounter::VarianceRankTime, vt);
+                    r.fset(FCounter::VarianceRankBytes, vb);
+                }
+            }
+        }
+    }
+
+    const CLASSES: [OpClass; 8] = [
+        OpClass::Read,
+        OpClass::Write,
+        OpClass::Open,
+        OpClass::Stat,
+        OpClass::Close,
+        OpClass::Unlink,
+        OpClass::Sync,
+        OpClass::DirOp,
+    ];
+    const MODULES: [Module; 3] = [Module::Posix, Module::MpiIo, Module::Stdio];
+
+    type Burst = (
+        u8,
+        u32,
+        (u32, u32),
+        (usize, usize),
+        Vec<(usize, u64, u64, u64)>,
+    );
+
+    /// Bursts of ops from one rank: (shape, rank, two file selectors, two
+    /// module selectors, ops as (class, offset in 4 KiB, length in 4 KiB,
+    /// duration in µs)). Shape 0 keeps the burst on the first file and
+    /// module, shape 1 alternates between the two files, shape 2 between
+    /// the two modules on the first file. File selector 5 is `None`, a
+    /// pure directory op. Offsets and lengths are small multiples of
+    /// 4 KiB, so consecutive and sequential accesses are common.
+    fn arb_bursts() -> impl Strategy<Value = Vec<Burst>> {
+        let ops = proptest::collection::vec((0usize..8, 0u64..8, 0u64..4, 0u64..50), 1..8);
+        proptest::collection::vec(
+            (
+                0u8..3,
+                0u32..6,
+                (0u32..6, 0u32..6),
+                (0usize..3, 0usize..3),
+                ops,
+            ),
+            1..60,
+        )
+    }
+
     proptest! {
+        /// Interleaved bursts over ranks 0..6, five files plus directory
+        /// ops, all three modules and all eight op classes, including
+        /// runs where one rank alternates between two records, give the
+        /// keyed reference's log: equal header fields, then equal rank,
+        /// file, module, counters and float-counter bits for every record,
+        /// in order.
+        #[test]
+        fn collector_matches_keyed_reference(bursts in arb_bursts()) {
+            let mut fast = Collector::new("prop", 6);
+            let mut reference = KeyedCollector {
+                exe: "prop".into(),
+                nprocs: 6,
+                records: HashMap::new(),
+                last_end: 0.0,
+            };
+            let mut t = 0u64;
+            for (shape, rank, (fa, fb), (ma, mb), ops) in bursts {
+                for (i, (class, offset, len, dur)) in ops.into_iter().enumerate() {
+                    let odd = i % 2 == 1;
+                    let file = if shape == 1 && odd { fb } else { fa };
+                    let module = if shape == 2 && odd { mb } else { ma };
+                    t += 3;
+                    let rec = OpRecord {
+                        rank,
+                        file: (file < 5).then_some(FileId(file)),
+                        module: MODULES[module],
+                        class: CLASSES[class],
+                        offset: offset << 12,
+                        bytes: len << 12,
+                        start: SimTime::from_micros(t),
+                        end: SimTime::from_micros(t + dur),
+                    };
+                    fast.record(&rec);
+                    reference.record(&rec);
+                }
+            }
+            let (got, want) = (fast.finish(), reference.finish());
+            prop_assert_eq!(&got.header.exe, &want.header.exe);
+            prop_assert_eq!(got.header.nprocs, want.header.nprocs);
+            prop_assert_eq!(got.header.runtime_secs.to_bits(), want.header.runtime_secs.to_bits());
+            prop_assert_eq!(got.header.file_count, want.header.file_count);
+            let key = |r: &FileRecord| {
+                let bits: Vec<u64> = r.fcounters.iter().map(|f| f.to_bits()).collect();
+                (r.rank, r.file, r.module, r.counters.clone(), bits)
+            };
+            let got: Vec<_> = got.records.iter().map(key).collect();
+            let want: Vec<_> = want.records.iter().map(key).collect();
+            prop_assert_eq!(got, want);
+        }
+
         /// Byte and op counts are conserved exactly for arbitrary traces,
         /// and every size lands in exactly one histogram bucket.
         #[test]

@@ -259,3 +259,93 @@ fn simulator_outputs_are_pinned_on_large_transfer_paths() {
         assert_eq!(got, want, "{}: {r:?}", w.name());
     }
 }
+
+/// FNV-1a of a Darshan log: the rendered header, then every record in log
+/// order as its module name, file id, rank, counters and float counters'
+/// bits.
+fn log_digest(log: &darshan::DarshanLog) -> u64 {
+    fn eat(h: &mut u64, bytes: &[u8]) {
+        for &b in bytes {
+            *h ^= u64::from(b);
+            *h = h.wrapping_mul(0x0100_0000_01b3);
+        }
+    }
+    let mut h = 0xcbf2_9ce4_8422_2325;
+    eat(&mut h, log.header.render().as_bytes());
+    for r in &log.records {
+        eat(&mut h, r.module.name().as_bytes());
+        eat(&mut h, &r.file.0.to_le_bytes());
+        eat(&mut h, &r.rank.to_le_bytes());
+        for c in &r.counters {
+            eat(&mut h, &c.to_le_bytes());
+        }
+        for f in &r.fcounters {
+            eat(&mut h, &f.to_bits().to_le_bytes());
+        }
+    }
+    h
+}
+
+/// Darshan logs pinned bit for bit, so a change to the collector's record
+/// routing, record order or variance reduction, or to the engine paths
+/// that feed it, fails here even when it shifts every log alike. The
+/// cases cover a metadata workload that unlinks every file, a mixed
+/// multi-phase one, a shared file, file-per-process transfers, and
+/// unlinks against a 64 MB cache that evicts.
+#[test]
+fn darshan_logs_are_pinned() {
+    use workloads::ior::Ior;
+    use workloads::mdworkbench::MdWorkbench;
+    use workloads::Workload;
+    let wide = MdWorkbench {
+        dirs_per_rank: 1,
+        files_per_dir: 120,
+        rounds: 1,
+        ..MdWorkbench::mdw_2k()
+    };
+    let mut small = TuningConfig::lustre_default();
+    small.llite_max_cached_mb = 64;
+    let default = TuningConfig::lustre_default();
+    let cases: [(ClusterSpec, Box<dyn Workload>, &TuningConfig); 5] = [
+        (
+            ClusterSpec::paper_cluster(),
+            WorkloadKind::MdWorkbench2K.spec().scaled(0.1),
+            &default,
+        ),
+        (
+            ClusterSpec::paper_cluster(),
+            WorkloadKind::Io500.spec().scaled(0.1),
+            &default,
+        ),
+        (
+            ClusterSpec::scaled(200, 8),
+            WorkloadKind::Ior16M.spec().scaled(0.05),
+            &default,
+        ),
+        (
+            ClusterSpec::paper_cluster(),
+            Box::new(Ior::ior_fpp(4 << 20, 32 << 20)),
+            &default,
+        ),
+        (ClusterSpec::paper_cluster(), Box::new(wide), &small),
+    ];
+    // Per case: (records, digest).
+    const PINNED: [(usize, u64); 5] = [
+        (6000, 0x8b18418cdf6bb915),
+        (1300, 0x2bd354be86c83df9),
+        (200, 0x9b646845cd9c04bd),
+        (100, 0xf42e527a84ef8aa2),
+        (6000, 0x1e3734f7f5f2469c),
+    ];
+    let got: Vec<(usize, u64)> = cases
+        .into_iter()
+        .map(|(topo, w, cfg)| {
+            let sim = PfsSimulator::new(topo);
+            let mut c = Collector::new(w.name(), sim.topology().total_ranks());
+            sim.run_traced_faulted(w.generate(sim.topology(), 1), cfg, 1, None, &mut c);
+            let log = c.finish();
+            (log.records.len(), log_digest(&log))
+        })
+        .collect();
+    assert_eq!(got, PINNED, "(records, digest) per case, in order");
+}
