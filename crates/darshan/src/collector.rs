@@ -12,10 +12,16 @@ use std::collections::HashMap;
 pub struct Collector {
     exe: String,
     nprocs: u32,
-    // determinism audit (D002): accumulated by point lookups; `finish`
-    // drains into a Vec and sorts by (module, file, rank) before the
-    // records can reach a log or report
-    records: HashMap<(u32, FileId, Module), FileRecord>,
+    /// One record per (rank, file, module), in first-touch order.
+    records: Vec<FileRecord>,
+    // determinism audit (D002): point lookups only; `finish` orders the
+    // records by sorting their unique keys
+    /// Index into `records` of each (rank, file, module).
+    index: HashMap<(u32, FileId, Module), u32>,
+    /// Per rank, the index of the record it touched last (`u32::MAX`
+    /// before its first). A rank's consecutive ops mostly hit one record,
+    /// so this slot answers them without a hash lookup.
+    last: Vec<u32>,
     last_end: f64,
 }
 
@@ -25,24 +31,51 @@ impl Collector {
         Collector {
             exe: exe.into(),
             nprocs,
-            records: HashMap::new(),
+            records: Vec::new(),
+            index: HashMap::new(),
+            last: Vec::new(),
             last_end: 0.0,
         }
     }
 
     fn entry(&mut self, rank: u32, file: FileId, module: Module) -> &mut FileRecord {
-        self.records
-            .entry((rank, file, module))
-            .or_insert_with(|| FileRecord::new(rank, file, module))
+        let slot = rank as usize;
+        if slot >= self.last.len() {
+            self.last.resize(slot + 1, u32::MAX);
+        }
+        let cached = self.last[slot] as usize;
+        let i = match self.records.get(cached) {
+            Some(r) if r.file == file && r.module == module => cached,
+            _ => {
+                let records = &mut self.records;
+                let i = *self.index.entry((rank, file, module)).or_insert_with(|| {
+                    records.push(FileRecord::new(rank, file, module));
+                    (records.len() - 1) as u32
+                });
+                self.last[slot] = i;
+                i as usize
+            }
+        };
+        &mut self.records[i]
     }
 
-    /// Finalise: sort records, run the shared-file variance reduction, and
-    /// return the completed log.
+    /// Finalise: order the records by (module name, file, rank), run the
+    /// shared-file variance reduction, and return the completed log.
     pub fn finish(self) -> DarshanLog {
-        let mut records: Vec<FileRecord> = self.records.into_values().collect();
-        records.sort_by_key(|r| (r.module.name(), r.file, r.rank));
+        let mut records = self.records;
+        // Keys are unique, so sorting (key, index) pairs gives the one
+        // order a sort of the records themselves would, and each record
+        // then moves once.
+        let mut order: Vec<((&str, FileId, u32), u32)> = records
+            .iter()
+            .enumerate()
+            .map(|(i, r)| ((r.module.name(), r.file, r.rank), i as u32))
+            .collect();
+        order.sort_unstable_by_key(|&(key, _)| key);
+        let mut from: Vec<u32> = order.into_iter().map(|(_, i)| i).collect();
+        permute(&mut records, &mut from);
         let mut files: Vec<FileId> = records.iter().map(|r| r.file).collect();
-        files.sort();
+        files.sort_unstable();
         files.dedup();
         let mut log = DarshanLog {
             header: JobHeader {
@@ -55,6 +88,26 @@ impl Collector {
         };
         log.compute_shared_file_variance();
         log
+    }
+}
+
+/// Rearrange `items` in place so that position `j` holds the item that was
+/// at `from[j]`, one cycle of the permutation at a time. `from` must be a
+/// permutation of `0..items.len()`; it is left as the identity.
+fn permute<T>(items: &mut [T], from: &mut [u32]) {
+    for start in 0..from.len() {
+        // The item that was at `start` travels along the cycle: it sits at
+        // `at` until the position that wants it is reached.
+        let mut at = start;
+        loop {
+            let src = from[at] as usize;
+            from[at] = at as u32;
+            if src == start {
+                break;
+            }
+            items.swap(at, src);
+            at = src;
+        }
     }
 }
 

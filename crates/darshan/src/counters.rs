@@ -115,9 +115,10 @@ pub const FCOUNTERS: [FCounter; 9] = [
 ];
 
 impl Counter {
-    /// Storage index.
+    /// Storage index: the position in [`COUNTERS`], which lists the
+    /// variants in declaration order.
     pub fn index(self) -> usize {
-        COUNTERS.iter().position(|&c| c == self).expect("in table")
+        self as usize
     }
 
     /// Darshan-style column name (module prefix added by the table builder).
@@ -204,9 +205,10 @@ impl Counter {
 }
 
 impl FCounter {
-    /// Storage index.
+    /// Storage index: the position in [`FCOUNTERS`], which lists the
+    /// variants in declaration order.
     pub fn index(self) -> usize {
-        FCOUNTERS.iter().position(|&c| c == self).expect("in table")
+        self as usize
     }
 
     /// Darshan-style column name.

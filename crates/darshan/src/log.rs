@@ -3,7 +3,6 @@
 use crate::counters::{Counter, FCounter, COUNTERS, FCOUNTERS};
 use pfs::ops::{FileId, Module};
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
 
 /// Job-level header (Darshan's log header).
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -138,37 +137,37 @@ impl DarshanLog {
     /// Compute the shared-file variance reduction (Darshan computes these at
     /// log finalisation): for every file accessed by more than one rank,
     /// fill `VarianceRankTime` / `VarianceRankBytes` on each of its records.
-    pub fn compute_shared_file_variance(&mut self) {
-        #[derive(Default)]
-        struct Agg {
-            times: Vec<f64>,
-            bytes: Vec<f64>,
+    ///
+    /// The records must be in log order, so that each (module, file) is
+    /// one adjacent run.
+    pub(crate) fn compute_shared_file_variance(&mut self) {
+        fn variance(run: &[FileRecord], x: impl Fn(&FileRecord) -> f64) -> f64 {
+            let n = run.len() as f64;
+            let mean = run.iter().map(&x).sum::<f64>() / n;
+            run.iter()
+                .map(|r| {
+                    let d = x(r) - mean;
+                    d * d
+                })
+                .sum::<f64>()
+                / n
         }
-        let mut by_file: BTreeMap<(Module, FileId), Agg> = BTreeMap::new();
-        for r in &self.records {
-            let a = by_file.entry((r.module, r.file)).or_default();
-            a.times
-                .push(r.fget(FCounter::ReadTime) + r.fget(FCounter::WriteTime));
-            a.bytes
-                .push((r.get(Counter::BytesRead) + r.get(Counter::BytesWritten)) as f64);
-        }
-        let variance = |xs: &[f64]| -> f64 {
-            if xs.len() < 2 {
-                return 0.0;
+        for run in self
+            .records
+            .chunk_by_mut(|a, b| (a.module, a.file) == (b.module, b.file))
+        {
+            if run.len() < 2 {
+                continue;
             }
-            let mean = xs.iter().sum::<f64>() / xs.len() as f64;
-            xs.iter().map(|x| (x - mean) * (x - mean)).sum::<f64>() / xs.len() as f64
-        };
-        let stats: BTreeMap<(Module, FileId), (f64, f64, usize)> = by_file
-            .into_iter()
-            .map(|(k, a)| (k, (variance(&a.times), variance(&a.bytes), a.times.len())))
-            .collect();
-        for r in &mut self.records {
-            if let Some(&(vt, vb, n)) = stats.get(&(r.module, r.file)) {
-                if n > 1 {
-                    r.fset(FCounter::VarianceRankTime, vt);
-                    r.fset(FCounter::VarianceRankBytes, vb);
-                }
+            let vt = variance(run, |r| {
+                r.fget(FCounter::ReadTime) + r.fget(FCounter::WriteTime)
+            });
+            let vb = variance(run, |r| {
+                (r.get(Counter::BytesRead) + r.get(Counter::BytesWritten)) as f64
+            });
+            for r in run {
+                r.fset(FCounter::VarianceRankTime, vt);
+                r.fset(FCounter::VarianceRankBytes, vb);
             }
         }
     }

@@ -75,6 +75,11 @@ pub struct PageCache {
     budget_bytes: u64,
     used_bytes: u64,
     blocks: HashMap<(FileId, u64), Block, FxBuildHasher>,
+    /// Per file, the block indices it has inserted since its last
+    /// invalidation. Eviction leaves spans as they are, so a span always
+    /// covers the file's resident blocks, and a file with no span has
+    /// none.
+    spans: HashMap<FileId, Range<u64>, FxBuildHasher>,
     clock: VecDeque<Run>,
 }
 
@@ -117,8 +122,20 @@ impl PageCache {
             budget_bytes,
             used_bytes: 0,
             blocks: HashMap::default(),
+            spans: HashMap::default(),
             clock: VecDeque::new(),
         }
+    }
+
+    /// Widen `file`'s span to cover `blocks`.
+    fn widen(&mut self, file: FileId, blocks: Range<u64>) {
+        self.spans
+            .entry(file)
+            .and_modify(|s| {
+                s.start = s.start.min(blocks.start);
+                s.end = s.end.max(blocks.end);
+            })
+            .or_insert(blocks);
     }
 
     /// Whether `chunk` is resident, without touching recency.
@@ -176,6 +193,7 @@ impl PageCache {
             chunk = match ra_chunk {
                 Some(c) => {
                     hits += 1;
+                    self.widen(file, block..block + 1);
                     self.insert_chunk(file, c);
                     c + 1
                 }
@@ -190,6 +208,13 @@ impl PageCache {
     /// the back of the clock, and the cache evicts cold chunks whenever it
     /// goes over budget.
     pub fn insert(&mut self, file: FileId, chunks: Range<u64>) {
+        if chunks.is_empty() {
+            return;
+        }
+        self.widen(
+            file,
+            chunks.start / BLOCK_CHUNKS..(chunks.end - 1) / BLOCK_CHUNKS + 1,
+        );
         let mut chunk = chunks.start;
         while chunk < chunks.end {
             let block = chunk / BLOCK_CHUNKS;
@@ -233,17 +258,32 @@ impl PageCache {
 
     /// Drop all chunks of `file` (unlink / remount hygiene). Clock entries
     /// are cleaned lazily during eviction.
+    ///
+    /// Removes the file's blocks by key across its span, or, when the span
+    /// is as long as the whole map, by one pass over the map. Either way
+    /// the surviving blocks and the freed bytes are the same.
     pub fn invalidate_file(&mut self, file: FileId) {
+        let Some(span) = self.spans.remove(&file) else {
+            return;
+        };
         let mut removed = 0u64;
-        // detlint::allow(D002): removal by key predicate — the surviving set
-        // and the removed count are independent of visitation order
-        self.blocks.retain(|(f, _), b| {
-            let keep = *f != file;
-            if !keep {
-                removed += u64::from(b.resident.count_ones());
+        if span.end - span.start < self.blocks.len() as u64 {
+            for block in span {
+                if let Some(b) = self.blocks.remove(&(file, block)) {
+                    removed += u64::from(b.resident.count_ones());
+                }
             }
-            keep
-        });
+        } else {
+            // detlint::allow(D002): removal by key predicate — the surviving
+            // set and the removed count are independent of visitation order
+            self.blocks.retain(|(f, _), b| {
+                let keep = *f != file;
+                if !keep {
+                    removed += u64::from(b.resident.count_ones());
+                }
+                keep
+            });
+        }
         self.used_bytes -= removed * CHUNK_BYTES;
     }
 
@@ -618,6 +658,37 @@ mod tests {
         assert_eq!(c.used_bytes(), CHUNK_BYTES);
         assert!(!c.contains(FileId(1), 0));
         assert!(c.contains(FileId(2), 0));
+    }
+
+    #[test]
+    fn invalidate_file_takes_both_paths() {
+        let mut c = PageCache::new(1 << 30);
+        for f in 1..=20 {
+            c.insert(FileId(f), 0..1);
+        }
+        let others_resident = |c: &PageCache| (1..=20).all(|f| c.contains(FileId(f), 0));
+        let span_len = |c: &PageCache, f| c.spans[&f].end - c.spans[&f].start;
+        // Two blocks among 22: removed block by block across the span.
+        let dense = FileId(0);
+        c.insert(dense, 0..64);
+        assert!(span_len(&c, dense) < c.blocks.len() as u64);
+        c.invalidate_file(dense);
+        assert_eq!(c.used_bytes(), 20 * CHUNK_BYTES);
+        assert!(!c.contains(dense, 0) && !c.contains(dense, 63));
+        assert!(others_resident(&c) && !c.spans.contains_key(&dense));
+        // Blocks 0 and 1000: the span is wider than the map, so one pass
+        // over the map removes them.
+        let sparse = FileId(21);
+        c.insert(sparse, 0..1);
+        c.insert(sparse, 32 * 1000..32 * 1000 + 1);
+        assert!(span_len(&c, sparse) >= c.blocks.len() as u64);
+        c.invalidate_file(sparse);
+        assert_eq!(c.used_bytes(), 20 * CHUNK_BYTES);
+        assert!(!c.contains(sparse, 0) && !c.contains(sparse, 32 * 1000));
+        assert!(others_resident(&c) && c.blocks.len() == 20);
+        // A file with no span holds nothing to remove.
+        c.invalidate_file(sparse);
+        assert_eq!(c.used_bytes(), 20 * CHUNK_BYTES);
     }
 
     #[test]
