@@ -121,19 +121,6 @@ impl DarshanLog {
         self.records.iter().filter(move |r| r.module == module)
     }
 
-    /// Distinct files touched in a module.
-    pub fn files_in(&self, module: Module) -> Vec<FileId> {
-        let mut v: Vec<FileId> = self.module_records(module).map(|r| r.file).collect();
-        v.sort();
-        v.dedup();
-        v
-    }
-
-    /// Sum of an integer counter across all records of a module.
-    pub fn total(&self, module: Module, c: Counter) -> i64 {
-        self.module_records(module).map(|r| r.get(c)).sum()
-    }
-
     /// Compute the shared-file variance reduction (Darshan computes these at
     /// log finalisation): for every file accessed by more than one rank,
     /// fill `VarianceRankTime` / `VarianceRankBytes` on each of its records.
@@ -235,7 +222,6 @@ mod tests {
             ],
         };
         assert_eq!(log.module_records(Module::Posix).count(), 1);
-        assert_eq!(log.files_in(Module::MpiIo), vec![FileId(2)]);
     }
 
     #[test]

@@ -3,8 +3,8 @@
 //! §4.1: "This initial run generates a Darshan log, which is further
 //! processed into a set of pandas DataFrames, accompanied by a separate file
 //! describing the meaning of each column." [`to_tables`] is that
-//! preprocessing script; [`Table`] supports the aggregation operations the
-//! code-executing Analysis Agent performs.
+//! preprocessing script. [`Table`] gives the code-executing Analysis Agent
+//! what its table programs read: columns by name and column sums.
 
 use crate::counters::{COUNTERS, FCOUNTERS};
 use crate::log::DarshanLog;
@@ -40,21 +40,6 @@ impl Table {
         self.column(name).map(|v| v.iter().sum()).unwrap_or(0.0)
     }
 
-    /// Mean of a column (0 if missing or empty).
-    pub fn mean(&self, name: &str) -> f64 {
-        match self.column(name) {
-            Some(v) if !v.is_empty() => v.iter().sum::<f64>() / v.len() as f64,
-            _ => 0.0,
-        }
-    }
-
-    /// Maximum of a column (0 if missing or empty).
-    pub fn max(&self, name: &str) -> f64 {
-        self.column(name)
-            .map(|v| v.into_iter().fold(0.0_f64, f64::max))
-            .unwrap_or(0.0)
-    }
-
     /// Number of rows.
     pub fn len(&self) -> usize {
         self.rows.len()
@@ -63,32 +48,6 @@ impl Table {
     /// Whether the table has no rows.
     pub fn is_empty(&self) -> bool {
         self.rows.is_empty()
-    }
-
-    /// Distinct values of a column, sorted.
-    pub fn distinct(&self, name: &str) -> Vec<f64> {
-        let mut v = self.column(name).unwrap_or_default();
-        v.sort_by(|a, b| a.total_cmp(b));
-        v.dedup();
-        v
-    }
-
-    /// Group by a key column and sum a value column: `(key, sum)` pairs.
-    pub fn group_sum(&self, key: &str, value: &str) -> Vec<(f64, f64)> {
-        let (Some(ki), Some(vi)) = (self.col(key), self.col(value)) else {
-            return Vec::new();
-        };
-        let mut acc: BTreeMap<u64, f64> = BTreeMap::new();
-        for row in &self.rows {
-            // Keys are ids/ranks: exact integers stored as f64.
-            *acc.entry(row[ki].to_bits()).or_default() += row[vi];
-        }
-        let mut out: Vec<(f64, f64)> = acc
-            .into_iter()
-            .map(|(k, v)| (f64::from_bits(k), v))
-            .collect();
-        out.sort_by(|a, b| a.0.total_cmp(&b.0));
-        out
     }
 }
 
@@ -185,39 +144,7 @@ mod tests {
         let (_, tables) = to_tables(&sample_log());
         let posix = &tables[0];
         assert_eq!(posix.sum("BYTES_WRITTEN"), 4000.0);
-        assert_eq!(posix.mean("WRITES"), 20.0);
-        assert_eq!(posix.max("WRITES"), 30.0);
         assert_eq!(posix.sum("NO_SUCH_COLUMN"), 0.0);
-        assert_eq!(posix.distinct("FILE_ID"), vec![1.0]);
-    }
-
-    #[test]
-    fn group_sum_by_rank() {
-        let (_, tables) = to_tables(&sample_log());
-        let posix = &tables[0];
-        let per_rank = posix.group_sum("RANK", "BYTES_WRITTEN");
-        assert_eq!(per_rank, vec![(0.0, 1000.0), (1.0, 3000.0)]);
-    }
-
-    #[test]
-    fn nan_values_order_deterministically_without_panicking() {
-        // Regression: `sort_by(partial_cmp().unwrap())` panicked on NaN;
-        // total_cmp orders it after every finite value instead.
-        let t = Table {
-            name: "T".into(),
-            columns: vec!["K".into(), "V".into()],
-            rows: vec![vec![f64::NAN, 1.0], vec![2.0, f64::NAN], vec![1.0, 3.0]],
-        };
-        let d = t.distinct("K");
-        assert_eq!(&d[..2], &[1.0, 2.0]);
-        assert!(d[2].is_nan(), "NaN sorts last under the total order");
-        let g = t.group_sum("K", "V");
-        assert_eq!((g[0].0, g[1].0), (1.0, 2.0));
-        assert!(g[2].0.is_nan());
-        assert!(
-            g[1].1.is_nan(),
-            "NaN sums stay NaN, keyed deterministically"
-        );
     }
 
     #[test]
