@@ -50,7 +50,7 @@ impl Collector {
                 let records = &mut self.records;
                 let i = *self.index.entry((rank, file, module)).or_insert_with(|| {
                     records.push(FileRecord::new(rank, file, module));
-                    (records.len() - 1) as u32
+                    u32::try_from(records.len() - 1).expect("fewer than 2^32 records")
                 });
                 self.last[slot] = i;
                 i as usize
