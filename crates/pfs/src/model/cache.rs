@@ -263,12 +263,12 @@ impl PageCache {
     /// is as long as the whole map, by one pass over the map. Either way
     /// the surviving blocks and the freed bytes are the same.
     pub fn invalidate_file(&mut self, file: FileId) {
-        let Some(span) = self.spans.remove(&file) else {
+        let Some(range) = self.spans.remove(&file) else {
             return;
         };
         let mut removed = 0u64;
-        if span.end - span.start < self.blocks.len() as u64 {
-            for block in span {
+        if range.end - range.start < self.blocks.len() as u64 {
+            for block in range {
                 if let Some(b) = self.blocks.remove(&(file, block)) {
                     removed += u64::from(b.resident.count_ones());
                 }
