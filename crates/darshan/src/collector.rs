@@ -63,17 +63,8 @@ impl Collector {
     /// shared-file variance reduction, and return the completed log.
     pub fn finish(self) -> DarshanLog {
         let mut records = self.records;
-        // Keys are unique, so sorting (key, index) pairs gives the one
-        // order a sort of the records themselves would, and each record
-        // then moves once.
-        let mut order: Vec<((&str, FileId, u32), u32)> = records
-            .iter()
-            .enumerate()
-            .map(|(i, r)| ((r.module.name(), r.file, r.rank), i as u32))
-            .collect();
-        order.sort_unstable_by_key(|&(key, _)| key);
-        let mut from: Vec<u32> = order.into_iter().map(|(_, i)| i).collect();
-        permute(&mut records, &mut from);
+        // Sorts (key, index) pairs and then moves each record once.
+        records.sort_by_cached_key(|r| (r.module.name(), r.file, r.rank));
         let mut files: Vec<FileId> = records.iter().map(|r| r.file).collect();
         files.sort_unstable();
         files.dedup();
@@ -88,26 +79,6 @@ impl Collector {
         };
         log.compute_shared_file_variance();
         log
-    }
-}
-
-/// Rearrange `items` in place so that position `j` holds the item that was
-/// at `from[j]`, one cycle of the permutation at a time. `from` must be a
-/// permutation of `0..items.len()`; it is left as the identity.
-fn permute<T>(items: &mut [T], from: &mut [u32]) {
-    for start in 0..from.len() {
-        // The item that was at `start` travels along the cycle: it sits at
-        // `at` until the position that wants it is reached.
-        let mut at = start;
-        loop {
-            let src = from[at] as usize;
-            from[at] = at as u32;
-            if src == start {
-                break;
-            }
-            items.swap(at, src);
-            at = src;
-        }
     }
 }
 

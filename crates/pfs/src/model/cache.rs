@@ -259,30 +259,17 @@ impl PageCache {
     /// Drop all chunks of `file` (unlink / remount hygiene). Clock entries
     /// are cleaned lazily during eviction.
     ///
-    /// Removes the file's blocks by key across its span, or, when the span
-    /// is as long as the whole map, by one pass over the map. Either way
-    /// the surviving blocks and the freed bytes are the same.
+    /// Removes the file's blocks by key across its span, which covers every
+    /// block the file holds.
     pub fn invalidate_file(&mut self, file: FileId) {
         let Some(range) = self.spans.remove(&file) else {
             return;
         };
         let mut removed = 0u64;
-        if range.end - range.start < self.blocks.len() as u64 {
-            for block in range {
-                if let Some(b) = self.blocks.remove(&(file, block)) {
-                    removed += u64::from(b.resident.count_ones());
-                }
+        for block in range {
+            if let Some(b) = self.blocks.remove(&(file, block)) {
+                removed += u64::from(b.resident.count_ones());
             }
-        } else {
-            // detlint::allow(D002): removal by key predicate — the surviving
-            // set and the removed count are independent of visitation order
-            self.blocks.retain(|(f, _), b| {
-                let keep = *f != file;
-                if !keep {
-                    removed += u64::from(b.resident.count_ones());
-                }
-                keep
-            });
         }
         self.used_bytes -= removed * CHUNK_BYTES;
     }
@@ -661,27 +648,24 @@ mod tests {
     }
 
     #[test]
-    fn invalidate_file_takes_both_paths() {
+    fn invalidate_file_removes_dense_and_sparse_spans() {
         let mut c = PageCache::new(1 << 30);
         for f in 1..=20 {
             c.insert(FileId(f), 0..1);
         }
         let others_resident = |c: &PageCache| (1..=20).all(|f| c.contains(FileId(f), 0));
-        let span_len = |c: &PageCache, f| c.spans[&f].end - c.spans[&f].start;
-        // Two blocks among 22: removed block by block across the span.
+        // Two adjacent blocks among 22.
         let dense = FileId(0);
         c.insert(dense, 0..64);
-        assert!(span_len(&c, dense) < c.blocks.len() as u64);
         c.invalidate_file(dense);
         assert_eq!(c.used_bytes(), 20 * CHUNK_BYTES);
         assert!(!c.contains(dense, 0) && !c.contains(dense, 63));
         assert!(others_resident(&c) && !c.spans.contains_key(&dense));
-        // Blocks 0 and 1000: the span is wider than the map, so one pass
-        // over the map removes them.
+        // Blocks 0 and 1000: a span wider than the map, with a gap of
+        // blocks the file never held.
         let sparse = FileId(21);
         c.insert(sparse, 0..1);
         c.insert(sparse, 32 * 1000..32 * 1000 + 1);
-        assert!(span_len(&c, sparse) >= c.blocks.len() as u64);
         c.invalidate_file(sparse);
         assert_eq!(c.used_bytes(), 20 * CHUNK_BYTES);
         assert!(!c.contains(sparse, 0) && !c.contains(sparse, 32 * 1000));
