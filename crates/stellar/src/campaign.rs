@@ -745,9 +745,10 @@ impl<'e> Campaign<'e> {
         let next = AtomicUsize::new(0);
         let in_flight_peak = AtomicUsize::new(0);
         std::thread::scope(|scope| {
+            let mut handles = Vec::with_capacity(workers);
             for worker in 0..workers {
                 let (slots, next, in_flight_peak) = (&slots, &next, &in_flight_peak);
-                scope.spawn(move || {
+                handles.push(scope.spawn(move || {
                     struct Open<'s> {
                         grid_idx: usize,
                         session: TuningSession<'s>,
@@ -838,7 +839,19 @@ impl<'e> Campaign<'e> {
                         }
                     }
                     in_flight_peak.fetch_max(peak, Ordering::Relaxed);
-                });
+                }));
+            }
+            // The scope alone returns once the worker closures end, which
+            // can be before their threads exit and hand their allocator
+            // arenas back; the next round's workers would then find no
+            // free arena and make new ones, so peak memory would depend
+            // on thread timing. Joining waits for each thread's exit.
+            for handle in handles {
+                // detlint::allow(D007): workers return nothing; cells
+                // publish into grid slots, and this only waits for exit
+                if let Err(payload) = handle.join() {
+                    std::panic::resume_unwind(payload);
+                }
             }
         });
         let cells = slots
