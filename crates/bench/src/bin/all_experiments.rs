@@ -1,4 +1,4 @@
-//! Run every figure/table driver in sequence (the EXPERIMENTS.md generator).
+//! Run every figure/table driver in sequence.
 //! Respects STELLAR_SCALE; use a smaller scale for a quick smoke pass.
 
 use std::process::Command;

@@ -1,16 +1,22 @@
 //! `perfsuite` — records the repository's performance trajectory
 //! (`BENCH_sched.json`).
 //!
-//! The headline experiment is the campaign-scheduler A/B of this PR: a
-//! skewed, MDWorkbench-heavy workload grid is run once per seed round and
-//! each cell's wall time measured; the three scheduling policies (naive
-//! FIFO grid order, hint-driven LPT, measurement-driven adaptive) are then
-//! compared by replaying those *measured* costs through
-//! `stellar::sched::makespan` — the same greedy claim loop the parallel
-//! runner executes — so the round-makespan numbers are deterministic given
-//! the measurements and independent of how many cores the benching host
-//! happens to have. A small hot-path probe (mean simulator run time) rides
-//! along so inner-loop regressions show up in the same artifact.
+//! The headline experiment is the campaign-scheduler A/B: a skewed,
+//! MDWorkbench-heavy workload grid is run once per seed round and each
+//! cell's wall time measured; three cell orders are then compared by
+//! replaying those *measured* costs through `stellar::sched::makespan` —
+//! the same greedy claim loop the parallel runner executes:
+//!
+//! * `fifo`: naive grid order, what serial rounds run;
+//! * `lpt`: `sched::plan` over a fresh, hint-only `CostModel`, i.e.
+//!   longest-processing-time-first over the static cost hints;
+//! * `adaptive`: `sched::plan` over a model fed each earlier round's
+//!   measurements, which is what parallel rounds run.
+//!
+//! The round-makespan numbers are deterministic given the measurements and
+//! independent of how many cores the benching host happens to have. A
+//! small hot-path probe (mean simulator run time) rides along so
+//! inner-loop regressions show up in the same artifact.
 //!
 //! ```text
 //! perfsuite [--quick] [--out FILE] [--workers N] [--seeds N]
@@ -32,7 +38,7 @@
 use pfs::{ClusterSpec, PfsSimulator, TuningConfig};
 use serde::{Deserialize, Serialize};
 use std::time::Instant;
-use stellar::sched::{self, CostModel, Schedule};
+use stellar::sched::{self, CostModel};
 use stellar::{Campaign, StellarBuilder};
 use workloads::ior::Ior;
 use workloads::{Workload, WorkloadKind};
@@ -382,8 +388,8 @@ fn main() {
     let engine = StellarBuilder::new().attempt_budget(attempts).build();
     let topo = engine.sim().topology();
 
-    // The static cost model the LPT policy plans from (what the Campaign
-    // runner derives internally).
+    // The hint-only cost model the parallel runner starts from: planning
+    // over it is LPT over the static hints.
     let workloads: Vec<Box<dyn Workload>> = cells.iter().map(|(k, s)| k.spec_at(*s)).collect();
     let hint_model = CostModel::from_hints(workloads.iter().map(|w| w.cost_hint(topo)));
 
@@ -400,15 +406,15 @@ fn main() {
     }
     let report = campaign.run_serial();
 
-    // Replay the measured costs through each policy's plan.
+    // Replay the measured costs through each order.
     let fifo_order: Vec<usize> = (0..cells.len()).collect();
-    let lpt_order = sched::plan(Schedule::Lpt, &hint_model);
+    let lpt_order = sched::plan(&hint_model);
     let mut adaptive_model = hint_model.clone();
     let mut rounds = Vec::new();
     let (mut tot_fifo, mut tot_lpt, mut tot_adapt) = (0.0, 0.0, 0.0);
     for r in &report.sched_stats.rounds {
         let costs = &r.cell_secs;
-        let adaptive_order = sched::plan(Schedule::Adaptive, &adaptive_model);
+        let adaptive_order = sched::plan(&adaptive_model);
         let fifo = sched::makespan(&fifo_order, costs, workers);
         let lpt = sched::makespan(&lpt_order, costs, workers);
         let adaptive = sched::makespan(&adaptive_order, costs, workers);

@@ -1,8 +1,7 @@
 //! Shared formatting helpers for the figure/table binaries.
 //!
-//! Each binary under `src/bin/` regenerates one artifact from the paper's
-//! evaluation (see DESIGN.md §4 for the index) and prints it in a fixed-width
-//! layout suitable for EXPERIMENTS.md.
+//! Each figure/table binary under `src/bin/` regenerates one artifact from
+//! the paper's evaluation and prints it in a fixed-width layout.
 
 #![forbid(unsafe_code)]
 

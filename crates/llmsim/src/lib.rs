@@ -3,7 +3,7 @@
 //! The paper drives its agents with GPT-4o, Claude-3.7-Sonnet and
 //! Llama-3.1-70B over provider APIs; none are reachable here, so this crate
 //! supplies the closest synthetic equivalent that exercises the same code
-//! paths (see DESIGN.md §1):
+//! paths:
 //!
 //! * [`profiles::ModelProfile`] — per-model quality knobs. The pivotal one is
 //!   **parametric-memory fidelity**: when a model is asked about a file-system

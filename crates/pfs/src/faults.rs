@@ -178,14 +178,6 @@ impl FaultPlan {
             .map_or(1.0, |e| e.kind.factor())
     }
 
-    /// Whether any event recovers an OST after a degradation — the
-    /// mid-run re-characterization scenario.
-    pub fn has_recovery(&self) -> bool {
-        self.events
-            .iter()
-            .any(|e| matches!(e.kind, FaultKind::Recover))
-    }
-
     /// Short human/observer label, e.g. `3 fault event(s) on 2 OST(s)`.
     pub fn label(&self) -> String {
         let mut osts: Vec<u32> = self.events.iter().map(|e| e.ost).collect();
@@ -233,7 +225,6 @@ mod tests {
         assert_eq!(plan.factor(1, SimTime::FAR_FUTURE), 1.0);
         // Other OSTs are untouched at every instant.
         assert_eq!(plan.factor(0, SimTime::from_nanos(1_500)), 1.0);
-        assert!(plan.has_recovery());
     }
 
     #[test]
@@ -249,7 +240,6 @@ mod tests {
     fn empty_plan_is_always_healthy() {
         let plan = FaultPlan::default();
         assert!(plan.is_empty());
-        assert!(!plan.has_recovery());
         assert_eq!(plan.factor(0, SimTime::from_secs(5)), 1.0);
         assert_eq!(plan.label(), "0 fault event(s) on 0 OST(s)");
     }

@@ -119,19 +119,6 @@ impl IoOp {
             _ => 0,
         }
     }
-
-    /// Whether this is a metadata operation (hits the MDS).
-    pub fn is_metadata(&self) -> bool {
-        matches!(
-            self,
-            IoOp::Mkdir { .. }
-                | IoOp::Create { .. }
-                | IoOp::Open { .. }
-                | IoOp::Stat { .. }
-                | IoOp::Unlink { .. }
-                | IoOp::Readdir { .. }
-        )
-    }
 }
 
 /// The ordered operation stream of one MPI rank.
@@ -208,24 +195,6 @@ mod tests {
         );
         assert_eq!(IoOp::Stat { file: FileId(0) }.bytes(), 0);
         assert_eq!(IoOp::Barrier.bytes(), 0);
-    }
-
-    #[test]
-    fn metadata_classification() {
-        assert!(IoOp::Create {
-            file: FileId(0),
-            dir: DirId(0)
-        }
-        .is_metadata());
-        assert!(IoOp::Stat { file: FileId(0) }.is_metadata());
-        assert!(!IoOp::Write {
-            file: FileId(0),
-            offset: 0,
-            len: 1
-        }
-        .is_metadata());
-        assert!(!IoOp::Barrier.is_metadata());
-        assert!(!IoOp::Fsync { file: FileId(0) }.is_metadata());
     }
 
     #[test]

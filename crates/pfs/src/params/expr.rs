@@ -152,26 +152,6 @@ impl Expr {
             }
         }
     }
-
-    /// All identifiers referenced by the expression (the dependency set).
-    pub fn idents(&self) -> Vec<String> {
-        let mut out = Vec::new();
-        self.collect_idents(&mut out);
-        out.sort();
-        out.dedup();
-        out
-    }
-
-    fn collect_idents(&self, out: &mut Vec<String>) {
-        match self {
-            Expr::Num(_) => {}
-            Expr::Ident(n) => out.push(n.clone()),
-            Expr::Bin(l, _, r) | Expr::Call(_, l, r) => {
-                l.collect_idents(out);
-                r.collect_idents(out);
-            }
-        }
-    }
 }
 
 struct Parser<'a> {
@@ -334,7 +314,6 @@ mod tests {
             e.eval(&env(&[("llite.max_read_ahead_mb", 64.0)])).unwrap(),
             32.0
         );
-        assert_eq!(e.idents(), vec!["llite.max_read_ahead_mb".to_string()]);
     }
 
     #[test]
@@ -386,12 +365,6 @@ mod tests {
         assert!(Expr::parse("min(1)").is_err());
         assert!(Expr::parse("1 2").is_err());
         assert!(Expr::parse("@").is_err());
-    }
-
-    #[test]
-    fn idents_dedup_sorted() {
-        let e = Expr::parse("a + b * a + min(c, b)").unwrap();
-        assert_eq!(e.idents(), vec!["a", "b", "c"]);
     }
 
     #[test]

@@ -65,15 +65,6 @@ impl RunResult {
             disk_rand_ops: diag.disk_rand_ops,
         }
     }
-
-    /// Speedup of this run relative to a baseline wall time.
-    pub fn speedup_vs(&self, baseline_wall_secs: f64) -> f64 {
-        if self.wall_secs > 0.0 {
-            baseline_wall_secs / self.wall_secs
-        } else {
-            0.0
-        }
-    }
 }
 
 #[cfg(test)]
@@ -99,13 +90,5 @@ mod tests {
         let diag = Diagnostics::default();
         let r = RunResult::from_parts(0.0, &diag);
         assert_eq!(r.agg_bandwidth, 0.0);
-        assert_eq!(r.speedup_vs(10.0), 0.0);
-    }
-
-    #[test]
-    fn speedup() {
-        let diag = Diagnostics::default();
-        let r = RunResult::from_parts(2.0, &diag);
-        assert_eq!(r.speedup_vs(10.0), 5.0);
     }
 }

@@ -40,8 +40,9 @@
 //!   --seeds <a,b,c>    grid seeds (default 42)
 //!   --warm             accumulate rules across seed rounds
 //!   --serial           disable parallel cell execution
-//!   --threads <n>      worker threads (default: hardware parallelism)
-//!   --schedule <s>     cell order: fifo | lpt | adaptive (default adaptive)
+//!   --threads <n>      worker threads (default: hardware parallelism);
+//!                      parallel rounds claim cells heaviest-first, as
+//!                      planned from cost hints and measured cell times
 //!   --progress         draw a live per-worker status board on stderr
 //!   --rule-shards      print the final rule census, one row per tag set
 //!   --resume <record.jsonl>   replay the completed rounds of a partial
@@ -49,22 +50,25 @@
 //!                      the remainder; the final report is bit-identical
 //!                      to an uninterrupted run
 //! ```
+//!
+//! Every `--` argument must be a flag its subcommand reads: anything else
+//! (a typo, a removed flag) exits 2 with `unknown flag`.
 
 use agents::RuleSet;
 use llmsim::{LatencyProfile, ModelProfile};
 use stellar::baselines::{expert_oracle, random_search};
-use stellar::{Campaign, RuleMode, RunObserver, Schedule, Stellar, StellarBuilder};
+use stellar::{Campaign, RuleMode, RunObserver, Stellar, StellarBuilder};
 use workloads::{WorkloadKind, BENCHMARKS, REAL_APPS};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let code = match args.first().map(String::as_str) {
-        Some("workloads") => cmd_workloads(),
-        Some("extract") => cmd_extract(),
-        Some("tune") => cmd_tune(&args[1..]),
-        Some("campaign") => cmd_campaign(&args[1..]),
-        Some("baseline") => cmd_baseline(&args[1..]),
-        Some("rules") => cmd_rules(&args[1..]),
+        Some("workloads") => checked(&args, &[], |_| cmd_workloads()),
+        Some("extract") => checked(&args, &[], |_| cmd_extract()),
+        Some("tune") => checked(&args, &[ENGINE, TUNE], cmd_tune),
+        Some("campaign") => checked(&args, &[ENGINE, CAMPAIGN], cmd_campaign),
+        Some("baseline") => checked(&args, &[BASELINE], cmd_baseline),
+        Some("rules") => checked(&args, &[], cmd_rules),
         _ => {
             eprintln!("usage: stellar-tune <workloads|extract|tune|campaign|baseline|rules> ...");
             eprintln!("see the crate docs or README for options");
@@ -72,6 +76,59 @@ fn main() {
         }
     };
     std::process::exit(code);
+}
+
+/// The flags a subcommand reads: `(flags that take a value, switches)`.
+type Flags = (&'static [&'static str], &'static [&'static str]);
+
+/// Read by `engine_from_flags`, so by `tune` and `campaign`.
+const ENGINE: Flags = (
+    &[
+        "--attempts",
+        "--model",
+        "--backend-latency",
+        "--faults",
+        "--inject-failures",
+        "--retry",
+    ],
+    &["--no-analysis", "--no-descriptions", "--no-rules"],
+);
+const TUNE: Flags = (
+    &["--scale", "--seed", "--rules", "--save-rules", "--emit"],
+    &["--stream"],
+);
+const CAMPAIGN: Flags = (
+    &[
+        "--scale",
+        "--seeds",
+        "--rules",
+        "--save-rules",
+        "--emit",
+        "--threads",
+        "--resume",
+    ],
+    &["--warm", "--serial", "--progress", "--rule-shards"],
+);
+const BASELINE: Flags = (&["--scale"], &[]);
+
+/// Run the subcommand `args[0]` on the rest of `args` once every `--`
+/// argument there is one of `flags`; a flag's value is skipped, not
+/// checked. Anything else is a usage error (exit 2), never ignored.
+fn checked(args: &[String], flags: &[Flags], cmd: impl FnOnce(&[String]) -> i32) -> i32 {
+    let args = &args[1..];
+    let mut rest = args.iter();
+    while let Some(arg) = rest.next() {
+        let arg = arg.as_str();
+        if flags.iter().any(|(valued, _)| valued.contains(&arg)) {
+            rest.next();
+        } else if arg.starts_with("--")
+            && !flags.iter().any(|(_, switches)| switches.contains(&arg))
+        {
+            eprintln!("unknown flag `{arg}`");
+            return 2;
+        }
+    }
+    cmd(args)
 }
 
 fn flag_value(args: &[String], name: &str) -> Option<String> {
@@ -493,15 +550,6 @@ fn cmd_campaign(args: &[String]) -> i32 {
             }
         }
     }
-    if let Some(name) = flag_value(args, "--schedule") {
-        match Schedule::parse(&name) {
-            Some(s) => campaign = campaign.schedule(s),
-            None => {
-                eprintln!("unknown schedule `{name}`; use fifo, lpt or adaptive");
-                return 2;
-            }
-        }
-    }
     if let Some(path) = flag_value(args, "--resume") {
         let record = match stellar::RunRecord::load_partial(&path) {
             Ok(r) => r,
@@ -579,9 +627,10 @@ fn cmd_baseline(args: &[String]) -> i32 {
         Ok(k) => k,
         Err(c) => return c,
     };
-    let scale: f64 = flag_value(args, "--scale")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(1.0);
+    let scale: f64 = match parse_flag(args, "--scale", 1.0) {
+        Ok(v) => v,
+        Err(c) => return c,
+    };
     let engine = Stellar::standard();
     let w = kind.spec_at(scale);
     let default = stellar::measure::evaluate(

@@ -34,13 +34,13 @@
 //! Within a parallel round, workers claim cells in the order planned by
 //! [`crate::sched`] — longest-processing-time-first over a cost model
 //! seeded from each workload's `CostHint` and refined with measured wall
-//! times after every round ([`Schedule::Adaptive`], the default).
-//! Reordering never changes results (cells are independent and results
-//! collect into grid-indexed slots), it only stops a late-claimed heavy
-//! cell from stranding the round at its barrier; the
-//! [`CampaignReport::sched_stats`] telemetry records makespans and worker
-//! utilization so the effect is measurable (`perfsuite` / the
-//! `campaign_sched` bench).
+//! times after every round ([`Schedule::Adaptive`]). Serial rounds run in
+//! grid order ([`Schedule::Fifo`]). Reordering never changes results
+//! (cells are independent and results collect into grid-indexed slots), it
+//! only stops a late-claimed heavy cell from stranding the round at its
+//! barrier; the [`CampaignReport::sched_stats`] telemetry records
+//! makespans and worker utilization so the effect is measurable
+//! (`perfsuite`).
 //!
 //! ## Non-blocking backends
 //!
@@ -144,8 +144,8 @@ pub struct CampaignGrid {
     /// record — serial and parallel runs of the same grid must produce
     /// byte-identical canonical streams.
     pub workers: usize,
-    /// Ordering policy the rounds will plan with. Telemetry, like
-    /// `workers`.
+    /// How the rounds will be ordered (adaptive when parallel, grid order
+    /// when serial). Telemetry, like `workers`.
     pub schedule: Schedule,
     /// Label of the engine's [`pfs::FaultPlan`], when the campaign runs
     /// under one (`None` on a pristine cluster). Unlike `workers` and
@@ -407,22 +407,6 @@ impl CampaignReport {
         (tuning, analysis)
     }
 
-    /// Cells for one workload label, in grid order.
-    pub fn cells_for(&self, workload: &str) -> Vec<&CampaignCell> {
-        self.cells
-            .iter()
-            .filter(|c| c.workload == workload)
-            .collect()
-    }
-
-    /// The best-performing finished cell, if any.
-    pub fn best_cell(&self) -> Option<&CampaignCell> {
-        self.cells.iter().filter(|c| !c.is_failed()).max_by(|a, b| {
-            let (a, b) = (a.run().expect("finished"), b.run().expect("finished"));
-            a.best_speedup.total_cmp(&b.best_speedup)
-        })
-    }
-
     /// The failed cells, in grid order (empty on a clean campaign).
     pub fn failed_cells(&self) -> Vec<&CampaignCell> {
         self.cells.iter().filter(|c| c.is_failed()).collect()
@@ -533,7 +517,6 @@ pub struct Campaign<'e> {
     base_rules: RuleSet,
     threads: usize,
     parallelism_fallback: bool,
-    schedule: Schedule,
     order_override: Option<Vec<usize>>,
     /// Complete rounds reconstructed from a partial run record by
     /// [`Campaign::resume_from`]: replayed (re-notified, re-merged)
@@ -564,7 +547,6 @@ impl<'e> Campaign<'e> {
             // A failed probe used to default silently; record it so the
             // report can say why the campaign ran single-threaded.
             parallelism_fallback: detected.is_err(),
-            schedule: Schedule::default(),
             order_override: None,
             replay: Vec::new(),
             observers: Mutex::new(Vec::new()),
@@ -637,23 +619,14 @@ impl<'e> Campaign<'e> {
         self
     }
 
-    /// Cell-ordering policy for parallel rounds (default
-    /// [`Schedule::Adaptive`]). Any policy yields the same report —
-    /// scheduling only changes when cells *execute*, never what they
-    /// compute (see [`crate::sched`]).
-    pub fn schedule(mut self, schedule: Schedule) -> Self {
-        self.schedule = schedule;
-        self
-    }
-
     /// Pin every parallel round's execution order to a fixed permutation
     /// of the workload indices, bypassing the planner.
     ///
     /// This is the verification seam behind the claim the scheduler rests
     /// on: *any* permutation must produce a bit-identical report. The
     /// `schedule_permutations_preserve_reports` property test drives it
-    /// with LPT, reversed and seeded-random orders
-    /// ([`crate::sched::permutation_from_seed`]).
+    /// with grid order, the hint-only plan, reversed grid order and
+    /// seeded-random orders ([`crate::sched::permutation_from_seed`]).
     ///
     /// [`Campaign::run_serial`] ignores the override — serial rounds
     /// always execute (and report) grid order.
@@ -897,7 +870,7 @@ impl<'e> Campaign<'e> {
         };
         let mut sched_stats = SchedStats {
             schedule: if parallel {
-                self.schedule
+                Schedule::Adaptive
             } else {
                 Schedule::Fifo
             },
@@ -908,11 +881,10 @@ impl<'e> Campaign<'e> {
         };
         // Cost model: parameter-derived hints up front, measured wall times
         // folded back in after every round (the adaptive feedback loop).
-        // Only planned schedules consult it — serial runs, FIFO and order
-        // overrides execute without paying for hints (whose default
-        // derivation generates a stream set for custom workloads).
-        let needs_model =
-            parallel && self.order_override.is_none() && sched_stats.schedule != Schedule::Fifo;
+        // Only planned rounds consult it — serial runs and order overrides
+        // execute without paying for hints (whose default derivation
+        // generates a stream set for custom workloads).
+        let needs_model = parallel && self.order_override.is_none();
         let mut model = needs_model.then(|| {
             let topo = self.engine.sim().topology();
             CostModel::from_hints(self.workloads.iter().map(|w| w.cost_hint(topo)))
@@ -961,7 +933,7 @@ impl<'e> Campaign<'e> {
                     // steer `run()`).
                     let order = match (&model, self.order_override.as_ref().filter(|_| parallel)) {
                         (_, Some(o)) => o.clone(),
-                        (Some(m), None) => sched::plan(sched_stats.schedule, m),
+                        (Some(m), None) => sched::plan(m),
                         (None, None) => (0..self.workloads.len()).collect(),
                     };
                     self.notify(|o| o.on_round_planned(seed, sched_stats.schedule, &order));
@@ -1217,8 +1189,6 @@ mod tests {
         assert!(report.total_evaluations() > report.cells.len());
         let (tuning, analysis) = report.total_usage();
         assert!(tuning.calls > 0 && analysis.calls > 0);
-        assert_eq!(report.cells_for("IOR_16M").len(), 1);
-        assert!(report.best_cell().is_some());
         assert!(report.render().contains("mean speedup"));
     }
 
@@ -1270,10 +1240,9 @@ mod tests {
             .kinds(&[WorkloadKind::Ior16M, WorkloadKind::MdWorkbench8K], 0.08)
             .seeds([1, 2])
             .threads(2)
-            .schedule(Schedule::Lpt)
             .run();
         let s = &report.sched_stats;
-        assert_eq!(s.schedule, Schedule::Lpt);
+        assert_eq!(s.schedule, Schedule::Adaptive);
         assert_eq!(s.threads_requested, 2);
         assert_eq!(s.workers, 2);
         assert!(!s.parallelism_fallback, "explicit threads() is no fallback");
@@ -1283,12 +1252,12 @@ mod tests {
             assert!(r.makespan_secs > 0.0);
             assert!(r.cell_secs.iter().all(|&c| c > 0.0));
             assert!(r.utilization > 0.0 && r.utilization <= 1.0 + 1e-9);
-            // LPT claims the heavy MDWorkbench cell (grid index 1) first —
-            // from the static hint in round 1, from measurement in round 2.
+            // The plan claims the heavy MDWorkbench cell (grid index 1)
+            // first — from the static hint in round 1, from measurement in
+            // round 2.
             assert_eq!(r.order[0], 1, "seed {}: order {:?}", r.seed, r.order);
         }
-        assert!(s.total_busy_secs() > 0.0);
-        assert!(s.render().contains("sched: lpt over 2 worker(s)"));
+        assert!(s.render().contains("sched: adaptive over 2 worker(s)"));
         // render() stays timing-free so identical grids render
         // bit-identically across reruns.
         assert!(!report.render().contains("sched:"));
@@ -1370,7 +1339,6 @@ mod tests {
             .run_serial();
         assert_eq!(report.cells.len(), 2);
         assert_eq!(report.failed_cells().len(), 2);
-        assert!(report.best_cell().is_none());
         assert_eq!(report.mean_best_speedup(), 0.0);
         assert_eq!(report.total_evaluations(), 0);
         assert!(report.rules.is_empty(), "failed cells merge no rules");

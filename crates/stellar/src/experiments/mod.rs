@@ -1,4 +1,4 @@
-//! Experiment drivers — one per paper figure/table (see DESIGN.md §4).
+//! Experiment drivers — one per paper figure/table.
 //!
 //! Every driver takes a `scale` factor applied to workload sizes: `1.0`
 //! reproduces the paper-scale runs (used by the bench binaries), smaller

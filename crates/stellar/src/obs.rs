@@ -259,7 +259,7 @@ pub enum SchedNote {
     RoundPlanned {
         /// Grid seed.
         seed: u64,
-        /// Ordering policy label.
+        /// Cell-order label ([`Schedule::label`]).
         schedule: String,
         /// Grid indices, first-claimed first.
         order: Vec<usize>,
@@ -1406,7 +1406,7 @@ mod tests {
             seeds: vec![1, 2],
             mode: crate::RuleMode::Warm,
             workers: 2,
-            schedule: Schedule::Lpt,
+            schedule: Schedule::Adaptive,
             faults: None,
             injection: None,
             retry: None,
@@ -1423,7 +1423,7 @@ mod tests {
         });
         let text = String::from_utf8(pr.out.clone()).unwrap();
         assert!(
-            text.contains("2 workload(s) x 2 seed(s), warm rules, lpt over 2 worker(s)"),
+            text.contains("2 workload(s) x 2 seed(s), warm rules, adaptive over 2 worker(s)"),
             "{text}"
         );
         assert!(text.contains("w0 > IOR_16M"), "{text}");

@@ -13,12 +13,13 @@
 //!   (`workloads::Workload::cost_hint`) and refined with measured per-cell
 //!   wall times after every round (exponential moving average), so later
 //!   rounds schedule on observation instead of estimation;
-//! * [`plan`], which turns the model into a deterministic execution order —
-//!   longest-processing-time-first for [`Schedule::Lpt`] /
-//!   [`Schedule::Adaptive`], grid order for [`Schedule::Fifo`];
+//! * [`plan`], which turns the model into a deterministic
+//!   longest-processing-time-first execution order. Every parallel round
+//!   plans this way; serial rounds run in grid order;
 //! * [`makespan`], a greedy list-scheduling simulator mirroring the
-//!   runner's claim loop, used by benches and the `perfsuite` binary to
-//!   compare policies on measured costs independently of host core count.
+//!   runner's claim loop, used by the `perfsuite` binary to compare grid
+//!   order, hint-only plans and adaptive plans on measured costs
+//!   independently of host core count.
 //!
 //! ## Why reordering preserves determinism
 //!
@@ -34,37 +35,24 @@
 use simcore::stats::Samples;
 use workloads::CostHint;
 
-/// Cell-ordering policy for a campaign round.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+/// How a campaign's rounds were ordered: the label its telemetry carries
+/// ([`SchedStats::schedule`], `CampaignObserver::on_round_planned`).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Schedule {
-    /// Naive grid order — the historical behaviour, kept as the explicit
-    /// baseline the `campaign_sched` bench compares against.
+    /// Grid order: every round of a serial run.
     Fifo,
-    /// Longest-processing-time-first over the static, parameter-derived
-    /// cost hints.
-    Lpt,
     /// LPT over measured per-cell wall times (EMA-smoothed), falling back
-    /// to the static hints until a workload has been observed once.
-    #[default]
+    /// to the static hints until a workload has been observed once: every
+    /// round of a parallel run, including rounds whose order
+    /// `Campaign::order_override` pins.
     Adaptive,
 }
 
 impl Schedule {
-    /// Parse a CLI name (`fifo`, `lpt`, `adaptive`).
-    pub fn parse(s: &str) -> Option<Schedule> {
-        match s {
-            "fifo" => Some(Schedule::Fifo),
-            "lpt" => Some(Schedule::Lpt),
-            "adaptive" => Some(Schedule::Adaptive),
-            _ => None,
-        }
-    }
-
-    /// The CLI/JSON name.
+    /// The telemetry name (`fifo`, `adaptive`).
     pub fn label(self) -> &'static str {
         match self {
             Schedule::Fifo => "fifo",
-            Schedule::Lpt => "lpt",
             Schedule::Adaptive => "adaptive",
         }
     }
@@ -129,47 +117,33 @@ impl CostModel {
         }
     }
 
-    /// The scheduling cost of workload `idx` under `schedule`.
+    /// The scheduling cost of workload `idx`: its measured wall time once
+    /// observed, its hint until then.
     ///
     /// Hint weights (op-count scale) and measured wall times (seconds)
     /// are different units, and a round *can* be partially observed — a
-    /// cell aborts, or the grid grows between rounds — so adaptive mode
-    /// must never compare them raw: an unobserved hint in the millions
-    /// would dwarf every measured cost and hijack the order. Once
-    /// anything has been observed, unobserved hints are rescaled into
-    /// seconds-space through the anchor ratio maintained by
-    /// [`CostModel::observe`]; before the first observation all costs are
-    /// hints, which compare consistently among themselves.
-    pub fn cost(&self, idx: usize, schedule: Schedule) -> f64 {
-        match schedule {
-            Schedule::Fifo | Schedule::Lpt => self.hints[idx],
-            Schedule::Adaptive => self.measured[idx].unwrap_or_else(|| match self.hint_scale {
-                Some(scale) => self.hints[idx] * scale,
-                None => self.hints[idx],
-            }),
-        }
-    }
-
-    /// Whether workload `idx` has been observed at least once.
-    pub fn is_observed(&self, idx: usize) -> bool {
-        self.measured[idx].is_some()
+    /// cell aborts, or the grid grows between rounds — so the two must
+    /// never be compared raw: an unobserved hint in the millions would
+    /// dwarf every measured cost and hijack the order. Once anything has
+    /// been observed, unobserved hints are rescaled into seconds-space
+    /// through the anchor ratio maintained by [`CostModel::observe`];
+    /// before the first observation all costs are hints, which compare
+    /// consistently among themselves.
+    pub fn cost(&self, idx: usize) -> f64 {
+        self.measured[idx].unwrap_or_else(|| match self.hint_scale {
+            Some(scale) => self.hints[idx] * scale,
+            None => self.hints[idx],
+        })
     }
 }
 
-/// The deterministic execution order for one round.
-///
-/// FIFO returns grid order; LPT/adaptive sort descending by modeled cost,
-/// breaking ties by grid index so equal-cost cells keep a stable order.
-pub fn plan(schedule: Schedule, model: &CostModel) -> Vec<usize> {
+/// The deterministic execution order for one round: descending by modeled
+/// cost, breaking ties by grid index so equal-cost cells keep a stable
+/// order. Over a model nothing has been observed in, this is LPT over the
+/// static hints.
+pub fn plan(model: &CostModel) -> Vec<usize> {
     let mut order: Vec<usize> = (0..model.len()).collect();
-    if schedule != Schedule::Fifo {
-        order.sort_by(|&a, &b| {
-            model
-                .cost(b, schedule)
-                .total_cmp(&model.cost(a, schedule))
-                .then(a.cmp(&b))
-        });
-    }
+    order.sort_by(|&a, &b| model.cost(b).total_cmp(&model.cost(a)).then(a.cmp(&b)));
     order
 }
 
@@ -177,7 +151,7 @@ pub fn plan(schedule: Schedule, model: &CostModel) -> Vec<usize> {
 /// by the earliest-free of `workers` workers (ties to the lowest worker).
 ///
 /// This mirrors the claim loop in `Campaign::run_round` exactly, so
-/// benches can compare policies from measured per-cell costs without
+/// `perfsuite` can compare orders from measured per-cell costs without
 /// needing the host to actually have that many cores.
 pub fn makespan(order: &[usize], costs: &[f64], workers: usize) -> f64 {
     let w = workers.clamp(1, order.len().max(1));
@@ -194,9 +168,8 @@ pub fn makespan(order: &[usize], costs: &[f64], workers: usize) -> f64 {
 /// A deterministic pseudo-random permutation of `0..n` derived from
 /// `seed` (Fisher–Yates over a [`simcore::SimRng`] stream).
 ///
-/// Used by the determinism property test and the `campaign_sched` bench
-/// to exercise arbitrary execution orders through
-/// [`crate::Campaign::order_override`].
+/// Used by the determinism property test to exercise arbitrary execution
+/// orders through [`crate::Campaign::order_override`].
 pub fn permutation_from_seed(n: usize, seed: u64) -> Vec<usize> {
     let mut rng = simcore::SimRng::new(seed);
     let mut order: Vec<usize> = (0..n).collect();
@@ -253,7 +226,8 @@ pub struct RoundSched {
 /// [`crate::CampaignReport`] so speedups are observable rather than vibes.
 #[derive(Debug, Clone)]
 pub struct SchedStats {
-    /// The ordering policy the campaign ran under.
+    /// How the rounds were ordered: [`Schedule::Adaptive`] for parallel
+    /// runs, [`Schedule::Fifo`] for serial ones.
     pub schedule: Schedule,
     /// Worker threads requested (builder/CLI `--threads`).
     pub threads_requested: usize,
@@ -267,14 +241,6 @@ pub struct SchedStats {
 }
 
 impl SchedStats {
-    /// Total measured cell seconds across all rounds.
-    pub fn total_busy_secs(&self) -> f64 {
-        self.rounds
-            .iter()
-            .map(|r| r.cell_secs.iter().sum::<f64>())
-            .sum()
-    }
-
     /// Total measured round makespan across all rounds.
     pub fn total_makespan_secs(&self) -> f64 {
         self.rounds.iter().map(|r| r.makespan_secs).sum()
@@ -360,35 +326,29 @@ mod tests {
         }
     }
 
-    #[test]
-    fn schedule_parse_roundtrips() {
-        for s in [Schedule::Fifo, Schedule::Lpt, Schedule::Adaptive] {
-            assert_eq!(Schedule::parse(s.label()), Some(s));
-        }
-        assert_eq!(Schedule::parse("nope"), None);
-        assert_eq!(Schedule::default(), Schedule::Adaptive);
-    }
-
+    /// Over hints alone the plan is LPT: heaviest first, with equal costs
+    /// left in grid (FIFO) order.
     #[test]
     fn fifo_keeps_grid_order_lpt_sorts_heaviest_first() {
+        let level = CostModel::from_hints([hint(7); 4]);
+        assert_eq!(plan(&level), vec![0, 1, 2, 3]);
         let model = CostModel::from_hints([hint(1), hint(100), hint(10), hint(100)]);
-        assert_eq!(plan(Schedule::Fifo, &model), vec![0, 1, 2, 3]);
         // Descending by cost, equal costs tie-broken by grid index.
-        assert_eq!(plan(Schedule::Lpt, &model), vec![1, 3, 2, 0]);
+        assert_eq!(plan(&model), vec![1, 3, 2, 0]);
     }
 
     #[test]
     fn adaptive_prefers_measurement_over_hint() {
         let mut model = CostModel::from_hints([hint(1), hint(100)]);
         // Hints say cell 1 is heavy; measurement says otherwise.
+        assert_eq!(plan(&model), vec![1, 0]);
         model.observe(0, 9.0);
         model.observe(1, 1.0);
-        assert_eq!(plan(Schedule::Lpt, &model), vec![1, 0]);
-        assert_eq!(plan(Schedule::Adaptive, &model), vec![0, 1]);
+        assert_eq!(plan(&model), vec![0, 1]);
         // EMA smooths: a second observation moves halfway.
         model.observe(0, 1.0);
-        assert!((model.cost(0, Schedule::Adaptive) - 5.0).abs() < 1e-12);
-        assert!(model.is_observed(0) && model.is_observed(1));
+        assert!((model.cost(0) - 5.0).abs() < 1e-12);
+        assert!((model.cost(1) - 1.0).abs() < 1e-12);
         assert_eq!(model.len(), 2);
         assert!(!model.is_empty());
     }
@@ -404,19 +364,19 @@ mod tests {
         let mut model = CostModel::from_hints([hint(100), hint(50)]);
         // Only cell 0 has been observed: 10 seconds.
         model.observe(0, 10.0);
-        assert!(!model.is_observed(1));
         // Cell 1's cost must be in seconds-space: 50 hint-units at the
         // observed 0.1 s/unit anchor = 5 s, NOT a raw 50 that would
         // out-rank the measured 10 s.
-        assert!((model.cost(1, Schedule::Adaptive) - 5.0).abs() < 1e-12);
-        assert!((model.cost(0, Schedule::Adaptive) - 10.0).abs() < 1e-12);
+        assert!((model.cost(1) - 5.0).abs() < 1e-12);
+        assert!((model.cost(0) - 10.0).abs() < 1e-12);
         // So the genuinely heavier (measured) cell schedules first.
-        assert_eq!(plan(Schedule::Adaptive, &model), vec![0, 1]);
+        assert_eq!(plan(&model), vec![0, 1]);
         // The anchor itself is EMA-smoothed across observations.
         model.observe(0, 30.0); // measured EMA -> 20; ratio EMA -> 0.2
-        assert!((model.cost(1, Schedule::Adaptive) - 10.0).abs() < 1e-12);
-        // Pure-hint schedules are unaffected (single consistent unit).
-        assert!((model.cost(1, Schedule::Lpt) - 50.0).abs() < 1e-12);
+        assert!((model.cost(1) - 10.0).abs() < 1e-12);
+        // A model with no observations costs in hints (one consistent unit).
+        let hints_only = CostModel::from_hints([hint(100), hint(50)]);
+        assert!((hints_only.cost(1) - 50.0).abs() < 1e-12);
     }
 
     /// Zero-weight hints must not poison the anchor (no 0-division).
@@ -425,9 +385,9 @@ mod tests {
         let mut model = CostModel::from_hints([hint(0), hint(100)]);
         model.observe(0, 4.0);
         // No anchor yet (observed hint was 0): unobserved cost stays raw.
-        assert!((model.cost(1, Schedule::Adaptive) - 100.0).abs() < 1e-12);
+        assert!((model.cost(1) - 100.0).abs() < 1e-12);
         model.observe(1, 1.0);
-        assert!((model.cost(1, Schedule::Adaptive) - 1.0).abs() < 1e-12);
+        assert!((model.cost(1) - 1.0).abs() < 1e-12);
     }
 
     #[test]
@@ -435,8 +395,8 @@ mod tests {
         // One heavy straggler scheduled last under FIFO.
         let costs = [1.0, 1.0, 2.0, 3.0, 5.0];
         let model = CostModel::from_hints(costs.map(|c| hint(c as u64 * 100)));
-        let fifo = makespan(&plan(Schedule::Fifo, &model), &costs, 2);
-        let lpt = makespan(&plan(Schedule::Lpt, &model), &costs, 2);
+        let fifo = makespan(&[0, 1, 2, 3, 4], &costs, 2);
+        let lpt = makespan(&plan(&model), &costs, 2);
         assert_eq!(fifo, 8.0); // [1+2+5 | 1+3]
         assert_eq!(lpt, 6.0); // [5+1 | 3+2+1]
         assert!(lpt <= fifo);
@@ -454,11 +414,11 @@ mod tests {
     fn nan_costs_order_deterministically_without_panicking() {
         let mut model = CostModel::from_hints([hint(0), hint(1), hint(5)]);
         model.observe(0, f64::NAN);
-        let order = plan(Schedule::Adaptive, &model);
+        let order = plan(&model);
         // +NaN sorts greatest, so the poisoned cell schedules first;
         // the rest keep the usual heaviest-first order.
         assert_eq!(order, vec![0, 2, 1]);
-        assert_eq!(order, plan(Schedule::Adaptive, &model));
+        assert_eq!(order, plan(&model));
         // The worker pick survives a NaN busy clock too: that worker
         // never again compares least, so the remaining cells drain
         // deterministically through the healthy one.
@@ -468,7 +428,7 @@ mod tests {
     #[test]
     fn sched_stats_summarize() {
         let stats = SchedStats {
-            schedule: Schedule::Lpt,
+            schedule: Schedule::Adaptive,
             threads_requested: 4,
             workers: 2,
             parallelism_fallback: false,
@@ -481,14 +441,13 @@ mod tests {
                 max_in_flight: 1,
             }],
         };
-        assert_eq!(stats.total_busy_secs(), 4.0);
         assert_eq!(stats.total_makespan_secs(), 3.0);
         assert!((stats.mean_utilization() - 2.0 / 3.0).abs() < 1e-12);
         let (p50, p90, max) = stats.cell_time_percentiles();
         assert_eq!(p50, 2.0);
         assert!(p90 > p50 && max == 3.0);
         let line = stats.render();
-        assert!(line.contains("lpt over 2 worker(s)"), "{line}");
+        assert!(line.contains("adaptive over 2 worker(s)"), "{line}");
         assert_eq!(stats.max_in_flight(), 1);
         let empty = SchedStats {
             rounds: vec![],

@@ -541,15 +541,6 @@ impl<'a> TuningSession<'a> {
         &self.attempts
     }
 
-    /// Configuration attempts still available under the budget.
-    pub fn remaining_budget(&self) -> usize {
-        self.engine
-            .options()
-            .tuning
-            .max_attempts
-            .saturating_sub(self.attempts.len())
-    }
-
     /// Execute one step of the tuning run and report what happened.
     ///
     /// With backend latency injected, a step may instead return
@@ -1130,7 +1121,6 @@ mod tests {
         let mut session = engine.session(w.as_ref(), RuleSet::new(), 4);
         session.step(); // initial run
         session.step(); // analysis report
-        assert_eq!(session.remaining_budget(), 5);
         session.abort("operator requested shutdown");
         let event = session.step();
         let SessionEvent::Ended { reason } = event else {

@@ -1,5 +1,5 @@
 //! `stellar-tune` argument validation: an empty or malformed grid — and
-//! any malformed numeric flag — is a friendly usage error (exit code 2,
+//! any malformed numeric or unknown flag — is a friendly usage error (exit code 2,
 //! diagnostic on stderr), never a panic. Each case exits during argument
 //! validation, before any tuning work starts, so these stay cheap.
 
@@ -58,10 +58,33 @@ fn malformed_numeric_flags_are_usage_errors() {
         &["tune", "IOR_16M", "--attempts", "many"][..],
         &["campaign", "IOR_16M", "--scale", "tiny"][..],
         &["campaign", "IOR_16M", "--threads", "all"][..],
+        &["baseline", "IOR_16M", "--scale", "tiny"][..],
     ] {
         let (code, stderr) = run(args);
         assert_eq!(code, 2, "{args:?}: {stderr}");
         assert!(stderr.contains("bad "), "{args:?}: {stderr}");
+    }
+}
+
+/// A flag the subcommand does not read is a usage error, not silently
+/// ignored: a typo, `--schedule` (which no subcommand reads), and a
+/// campaign-only switch given to `tune`.
+#[test]
+fn unknown_flags_are_usage_errors() {
+    for (args, flag) in [
+        (&["campaign", "IOR_16M", "--thread", "4"][..], "--thread"),
+        (
+            &["campaign", "IOR_16M", "--schedule", "lpt"][..],
+            "--schedule",
+        ),
+        (&["tune", "IOR_16M", "--warm"][..], "--warm"),
+    ] {
+        let (code, stderr) = run(args);
+        assert_eq!(code, 2, "{args:?}: {stderr}");
+        assert!(
+            stderr.contains(&format!("unknown flag `{flag}`")),
+            "{args:?}: {stderr}"
+        );
     }
 }
 

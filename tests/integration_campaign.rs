@@ -2,7 +2,7 @@
 //! cross-layer consistency with single sessions.
 
 use agents::{RuleSet, ShardedRuleStore};
-use stellar::{sched, Campaign, CampaignReport, RuleMode, Schedule, StellarBuilder};
+use stellar::{sched, Campaign, CampaignReport, RuleMode, StellarBuilder};
 use workloads::WorkloadKind;
 
 const KINDS: [WorkloadKind; 2] = [WorkloadKind::Ior16M, WorkloadKind::MdWorkbench8K];
@@ -68,10 +68,11 @@ fn assert_reports_identical(tag: &str, a: &CampaignReport, b: &CampaignReport) {
 }
 
 /// The property the cost-model scheduler rests on: *any* execution-order
-/// permutation of a round — the planner's LPT/adaptive orders, reversed
-/// grid order, or random permutations derived from seeds — produces a
-/// report bit-identical to the serial grid-order run, in warm mode where
-/// cross-round rule flow would expose any ordering leak.
+/// permutation of a round — the default adaptive plan, grid order, the
+/// plan over the static hints alone, reversed grid order, or random
+/// permutations derived from seeds — produces a report bit-identical to
+/// the serial grid-order run, in warm mode where cross-round rule flow
+/// would expose any ordering leak.
 #[test]
 fn schedule_permutations_preserve_reports() {
     let engine = StellarBuilder::new().attempt_budget(3).build();
@@ -80,26 +81,28 @@ fn schedule_permutations_preserve_reports() {
         WorkloadKind::Ior16M,
         WorkloadKind::MdWorkbench2K,
     ];
-    let campaign = |order: Option<Vec<usize>>, schedule: Schedule| {
+    let campaign = |order: Option<Vec<usize>>| {
         let mut c = Campaign::new(&engine)
             .kinds(&grid, 0.05)
             .seeds([31, 32])
             .rule_mode(RuleMode::Warm)
-            .threads(3)
-            .schedule(schedule);
+            .threads(3);
         if let Some(o) = order {
             c = c.order_override(o);
         }
         c
     };
-    let baseline = campaign(None, Schedule::Fifo).run_serial();
+    let baseline = campaign(None).run_serial();
 
-    for schedule in [Schedule::Fifo, Schedule::Lpt, Schedule::Adaptive] {
-        let report = campaign(None, schedule).run();
-        assert_reports_identical(schedule.label(), &report, &baseline);
-    }
-    let reversed: Vec<usize> = (0..grid.len()).rev().collect();
-    let mut orders = vec![("reversed", reversed)];
+    let report = campaign(None).run();
+    assert_reports_identical("adaptive", &report, &baseline);
+    let topo = engine.sim().topology();
+    let hints = sched::CostModel::from_hints(grid.iter().map(|k| k.spec_at(0.05).cost_hint(topo)));
+    let mut orders = vec![
+        ("grid", (0..grid.len()).collect()),
+        ("hint-planned", sched::plan(&hints)),
+        ("reversed", (0..grid.len()).rev().collect()),
+    ];
     for perm_seed in [7u64, 8, 9] {
         orders.push((
             "random",
@@ -107,7 +110,7 @@ fn schedule_permutations_preserve_reports() {
         ));
     }
     for (tag, order) in orders {
-        let report = campaign(Some(order.clone()), Schedule::Fifo).run();
+        let report = campaign(Some(order.clone())).run();
         assert_reports_identical(&format!("{tag} {order:?}"), &report, &baseline);
     }
 }
