@@ -15,13 +15,19 @@
 //!    the completed rounds and recomputes the remainder, producing a
 //!    report and canonical stream bit-identical to the uninterrupted
 //!    run.
+//! 5. A panic outside every cell's failure domain — in an observer
+//!    callback, on a worker thread or on the coordinating thread — ends
+//!    `Campaign::run()` with that panic, and no thread is left waiting.
 
 use llmsim::{CallError, CallHandle, FailureInjection, FailureProfile, LatencyProfile};
 use std::cell::RefCell;
+use std::panic::AssertUnwindSafe;
 use std::rc::Rc;
+use std::sync::mpsc;
+use std::time::Duration;
 use stellar::{
-    Campaign, CampaignReport, CellFailure, JsonlEmitter, RetryPolicy, RunObserver, RunRecord,
-    SessionError, SessionEvent, SessionOutcome, Stellar, StellarBuilder,
+    Campaign, CampaignObserver, CampaignReport, CellFailure, JsonlEmitter, RetryPolicy, RuleMode,
+    RunObserver, RunRecord, SessionError, SessionEvent, SessionOutcome, Stellar, StellarBuilder,
 };
 use workloads::WorkloadKind;
 
@@ -248,6 +254,64 @@ fn resumed_campaign_is_bit_identical_to_uninterrupted() {
         assert_eq!(r.failure(), f.failure());
     }
     assert_eq!(resumed_report.rules, full_report.rules);
+}
+
+/// An observer that panics in one callback: `on_cell_claimed` runs on a
+/// worker thread, `on_rules_merged` on the coordinating thread.
+struct PanicIn(&'static str);
+
+impl PanicIn {
+    fn fire(&self, callback: &str) {
+        if self.0 == callback {
+            panic!("observer panicked in {callback}");
+        }
+    }
+}
+
+impl CampaignObserver for PanicIn {
+    fn on_cell_claimed(&mut self, _worker: usize, _seed: u64, _grid_idx: usize, _workload: &str) {
+        self.fire("on_cell_claimed");
+    }
+
+    fn on_rules_merged(&mut self, _workload: &str, _added: usize, _total: usize) {
+        self.fire("on_rules_merged");
+    }
+}
+
+/// Acceptance property 5: an observer panic is outside every cell's
+/// failure domain, so `run()` must end with it rather than return a
+/// report or hang. The campaign runs on its own thread, so a hang fails
+/// this test after 60 s instead of stalling the suite.
+#[test]
+fn observer_panics_end_the_campaign_with_their_message() {
+    for callback in ["on_cell_claimed", "on_rules_merged"] {
+        // detlint::allow(D007): the channel carries one test verdict; it
+        // bounds how long the test waits, and no campaign data goes through it
+        let (tx, rx) = mpsc::channel();
+        std::thread::spawn(move || {
+            let e = StellarBuilder::new().attempt_budget(2).build();
+            let ran = std::panic::catch_unwind(AssertUnwindSafe(|| {
+                campaign(&e)
+                    .rule_mode(RuleMode::Warm)
+                    .threads(2)
+                    .observe(Box::new(PanicIn(callback)))
+                    .run();
+            }));
+            let message = ran.err().map(|payload| match payload.downcast::<String>() {
+                Ok(message) => *message,
+                Err(payload) => payload
+                    .downcast_ref::<&str>()
+                    .map_or_else(|| "non-string panic payload".to_string(), |s| s.to_string()),
+            });
+            let _ = tx.send(message);
+        });
+        let message = rx
+            // detlint::allow(D007): one verdict, received once (see above)
+            .recv_timeout(Duration::from_secs(60))
+            .unwrap_or_else(|_| panic!("run() did not end within 60 s of a panic in {callback}"))
+            .unwrap_or_else(|| panic!("run() returned a report despite a panic in {callback}"));
+        assert_eq!(message, format!("observer panicked in {callback}"));
+    }
 }
 
 /// What a [`RunObserver`] hears about a session's backend calls.
