@@ -26,8 +26,8 @@
 //!   [`SessionEvent::Waiting`] instead of blocking while that call is in
 //!   flight, with all agent state intact. The caller
 //!   keeps stepping (each step polls the call once) and the session
-//!   resumes by itself when the call completes — the seam the campaign
-//!   worker loop multiplexes suspended cells over. Waiting is a
+//!   resumes by itself when the call completes — the seam campaign
+//!   workers poll suspended cells through. Waiting is a
 //!   *scheduling artifact*: it is reported to observers only through
 //!   [`RunObserver::on_waiting`], never `on_event`, so the semantic event
 //!   stream, the transcript and every usage meter stay bit-identical to
@@ -44,7 +44,13 @@
 //!   are drawn per *submission index* (see [`llmsim::failures`]),
 //!   retry schedules are identical under any latency profile, which
 //!   keeps the canonical stream byte-identical across execution shapes
-//!   even with injection on.
+//!   even with injection on;
+//! * **late-bound rules** — the session reads its [`RuleSnapshot`] in one
+//!   place, when it builds the Tuning Agent after the analysis report. A
+//!   campaign opens a next-round cell before that round's rules exist,
+//!   steps it through its initial run, and binds the snapshot once the
+//!   previous round has merged. The run equals one opened with that
+//!   snapshot, because nothing before the agent reads the rules.
 
 use crate::engine::{AttemptRecord, SeedPolicy, Stellar, TuningRun};
 use agents::{
@@ -287,8 +293,7 @@ enum GateStatus {
 /// The gate an agent turn must clear before it executes: the turn's call
 /// through the session's [`SimTransport`], retried under the
 /// [`RetryPolicy`]. One call in flight at a time — a session is a single
-/// logical conversation; overlap comes from multiplexing *sessions*, not
-/// calls. The transport draws each call's tick budget and failure verdict
+/// logical conversation. The transport draws each call's tick budget and failure verdict
 /// from its submission index, so the failure schedule is
 /// latency-invariant (see the module docs).
 struct Gate {
@@ -389,7 +394,9 @@ impl Gate {
 pub struct TuningSession<'a> {
     engine: &'a Stellar,
     workload: &'a dyn Workload,
-    rules: RuleSnapshot,
+    /// `None` until bound: a campaign may open a cell before its round's
+    /// rules exist (see [`TuningSession::needs_rules`]).
+    rules: Option<RuleSnapshot>,
     run_seed: u64,
     registry: ParamRegistry,
     analysis_backend: SimLlm,
@@ -422,16 +429,18 @@ impl<'a> TuningSession<'a> {
             SeedPolicy::PerWorkload => combine(seed, stable_hash(&workload.name())),
             SeedPolicy::Fixed => seed,
         };
-        Self::with_run_seed(engine, workload, rules, run_seed)
+        Self::with_run_seed(engine, workload, Some(rules), run_seed)
     }
 
     /// Session with a fully derived run seed, bypassing the engine's
     /// [`SeedPolicy`]. Used by the campaign layer, whose per-cell seeds
-    /// already mix in the workload name and grid position.
+    /// already mix in the workload name and grid position. Without
+    /// `rules` the session steps up to its rule lookup and then waits for
+    /// [`TuningSession::bind_rules`].
     pub(crate) fn with_run_seed(
         engine: &'a Stellar,
         workload: &'a dyn Workload,
-        rules: RuleSnapshot,
+        rules: Option<RuleSnapshot>,
         run_seed: u64,
     ) -> Self {
         let analysis_backend = SimLlm::new(
@@ -536,6 +545,21 @@ impl<'a> TuningSession<'a> {
         self.gate.pending.is_some()
     }
 
+    /// Whether the next step would read the rules and none are bound:
+    /// the initial run is done and the analysis turn, which builds the
+    /// Tuning Agent from the rules, is next. No backend call is in flight
+    /// at this point. Only a session opened without rules gets here.
+    pub(crate) fn needs_rules(&self) -> bool {
+        self.rules.is_none() && matches!(self.phase, Phase::Analyze)
+    }
+
+    /// Bind the snapshot a session opened without rules reads when it
+    /// builds the Tuning Agent.
+    pub(crate) fn bind_rules(&mut self, rules: RuleSnapshot) {
+        debug_assert!(self.rules.is_none(), "rules are bound once");
+        self.rules = Some(rules);
+    }
+
     /// Attempts executed so far.
     pub fn attempts(&self) -> &[AttemptRecord] {
         &self.attempts
@@ -549,7 +573,16 @@ impl<'a> TuningSession<'a> {
     ///
     /// After the run has ended, further calls return the final
     /// [`SessionEvent::Ended`] again without side effects.
+    ///
+    /// # Panics
+    /// Panics if the session was opened without rules and needs them
+    /// (only the campaign opens sessions that way, and it binds them
+    /// first).
     pub fn step(&mut self) -> SessionEvent {
+        assert!(
+            !self.needs_rules(),
+            "session stepped before its rules were bound"
+        );
         // First step ever: announce the session before any work happens
         // (`Phase::Start` holds exactly until `step_start` runs below).
         if matches!(self.phase, Phase::Start) && !self.observers.is_empty() {
@@ -728,7 +761,13 @@ impl<'a> TuningSession<'a> {
                     tags.push(t);
                 }
             }
-            self.rules.matching(&tags).into_iter().cloned().collect()
+            self.rules
+                .as_ref()
+                .expect("rules are bound before the agent is built")
+                .matching(&tags)
+                .into_iter()
+                .cloned()
+                .collect()
         } else {
             Vec::new()
         };
@@ -1057,6 +1096,54 @@ mod tests {
         assert_eq!(run_a.new_rules, run_b.new_rules);
         assert_eq!(run_a.tuning_usage, run_b.tuning_usage);
         assert_eq!(run_a.analysis_usage, run_b.analysis_usage);
+    }
+
+    /// A session opened without rules steps through its initial run and
+    /// then reports that it needs them, before any backend call goes in
+    /// flight. Bound late, under latency and injected failures, it drains
+    /// to the run of a session opened with that snapshot.
+    #[test]
+    fn late_bound_rules_reproduce_an_eagerly_bound_session() {
+        let engine = StellarBuilder::new()
+            .backend_latency(llmsim::LatencyProfile::uniform(1, 3))
+            .failures(llmsim::FailureInjection {
+                seed: 3,
+                profile: llmsim::FailureProfile {
+                    transient_rate: 0.3,
+                    fatal_rate: 0.0,
+                },
+            })
+            .retry_policy(RetryPolicy {
+                max_attempts: 10,
+                backoff_ticks: 1,
+            })
+            .build();
+        let w = WorkloadKind::Ior16M.spec().scaled(0.08);
+        let mut learned = RuleSet::new();
+        Stellar::standard().tune(w.as_ref(), &mut learned, 1);
+        let snapshot = RuleSnapshot::from(learned);
+
+        let mut late = TuningSession::with_run_seed(&engine, w.as_ref(), None, 9);
+        assert!(!late.needs_rules(), "the initial run reads no rules");
+        assert!(matches!(late.step(), SessionEvent::InitialRun { .. }));
+        assert!(late.needs_rules());
+        assert_eq!(late.in_flight(), 0, "no call goes out before the rules");
+        late.bind_rules(snapshot.clone());
+        assert!(!late.needs_rules());
+        let SessionOutcome::Finished(late) = late.drain_outcome() else {
+            panic!("a 10-attempt budget must survive a 0.3 transient rate");
+        };
+        let eager = TuningSession::with_run_seed(&engine, w.as_ref(), Some(snapshot), 9);
+        let SessionOutcome::Finished(eager) = eager.drain_outcome() else {
+            panic!("a 10-attempt budget must survive a 0.3 transient rate");
+        };
+        assert!(
+            late.transcript
+                .iter()
+                .any(|line| line.contains("applying accumulated rule")),
+            "the bound snapshot must reach the agent"
+        );
+        assert_eq!(late, eager);
     }
 
     /// Aborting a suspended session abandons the in-flight call: the very
