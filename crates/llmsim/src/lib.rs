@@ -20,8 +20,8 @@
 //!   discipline-modulated decision noise, and prompt/response accounting.
 //! * [`transport::SimTransport`] — the simulated provider every agent
 //!   turn goes through: deterministic seeded latency, measured in poll
-//!   ticks, so sessions suspend instead of blocking and campaign workers
-//!   overlap in-flight calls without timers or nondeterminism.
+//!   ticks, so sessions suspend instead of blocking, without timers or
+//!   nondeterminism.
 //! * [`failures`] — the failure domain of the same transport: a
 //!   [`failures::FailureInjection`] fails a seeded, submission-indexed
 //!   fraction of calls with [`transport::CallStatus::Failed`] so retry and

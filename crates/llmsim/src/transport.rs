@@ -20,9 +20,9 @@
 //!
 //! Latency is counted in *ticks*: each `poll` of a pending call burns one
 //! tick. A driver that keeps polling therefore always makes progress, and
-//! a multiplexing driver (the campaign worker loop) that polls K suspended
-//! sessions round-robin advances all K calls concurrently — the overlap a
-//! real async provider would give, reproduced deterministically.
+//! a driver that polls K suspended sessions round-robin would advance all
+//! K calls at once. Since ticks are polls, not host time, such overlap
+//! saves no host time, so the campaign workers poll one call at a time.
 //!
 //! Both draws key off the call's *submission index* `i`: its tick budget
 //! is `latency.draw(seed, i)` and its verdict `injection.draw(i)`. Latency

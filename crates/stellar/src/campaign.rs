@@ -14,7 +14,10 @@
 //! derived seed bypasses the engine's `SeedPolicy`). Rule sharing
 //! is round-structured (see [`RuleMode`]): within a round every cell reads
 //! the *same* starting snapshot, and learned rules merge in grid order
-//! after the round. [`Campaign::run`] (parallel) and
+//! after the round. A cell reads its snapshot only when its session
+//! builds the Tuning Agent, so a cell that starts before its round's
+//! rules exist still reads exactly that snapshot (see Scheduling).
+//! [`Campaign::run`] (parallel) and
 //! [`Campaign::run_serial`] therefore produce identical reports — asserted
 //! in `tests/integration_campaign.rs`, which also pins both to a warm grid
 //! rebuilt by hand from stand-alone sessions.
@@ -31,32 +34,40 @@
 //!
 //! ## Scheduling
 //!
-//! Within a parallel round, workers claim cells in the order planned by
-//! [`crate::sched`] — longest-processing-time-first over a cost model
-//! seeded from each workload's `CostHint` and refined with measured wall
-//! times after every round ([`Schedule::Adaptive`]). Serial rounds run in
-//! grid order ([`Schedule::Fifo`]). Reordering never changes results
-//! (cells are independent and results collect into grid-indexed slots), it
-//! only stops a late-claimed heavy cell from stranding the round at its
-//! barrier; the [`CampaignReport::sched_stats`] telemetry records
-//! makespans and worker utilization so the effect is measurable
-//! (`perfsuite`).
+//! All live rounds run on one pool of worker threads that lasts the whole
+//! campaign, while the calling thread coordinates. Workers claim a
+//! round's cells in the order planned by [`crate::sched`] —
+//! longest-processing-time-first over a cost model seeded from each
+//! workload's `CostHint` and refined with measured wall times after every
+//! round ([`Schedule::Adaptive`]). Serial rounds run in grid order
+//! ([`Schedule::Fifo`]). Reordering never changes results (cells are
+//! independent and results collect into grid-indexed slots); it only stops
+//! a late-claimed heavy cell from stranding the other workers.
+//!
+//! Round *r + 1* is planned when round *r* opens, so a worker with nothing
+//! left to claim in round *r* opens round *r + 1*'s next planned cell —
+//! the heaviest — and steps it through its initial run. The cell then
+//! needs its rules, which the coordinating thread publishes only after
+//! round *r*'s grid-order merges, so the worker *parks* it there, holding
+//! no backend call, and resumes it once they are out. A worker holds at
+//! most one parked cell. A serial run ([`Campaign::run_serial`]) is the
+//! same pool with one worker, grid order and no look-ahead. The
+//! [`CampaignReport::sched_stats`] telemetry records each round's window
+//! (from the previous round's merges to its own) and the worker
+//! utilization inside it, so the effect is measurable.
 //!
 //! ## Non-blocking backends
 //!
 //! When the engine injects backend latency
 //! (`StellarBuilder::backend_latency` / CLI `--backend-latency`), cells
 //! suspend while their agent turn's provider call is in flight instead of
-//! pinning their worker. Workers multiplex: a worker whose open cells are
-//! all suspended claims the next planned cell and keeps polling the
-//! suspended set, so several backend calls overlap in flight on one
-//! thread ([`crate::sched::RoundSched::max_in_flight`] records the peak).
-//! A serial run ([`Campaign::run_serial`]) is the same worker loop with
-//! one worker and grid order, under one serial rule: the worker does not
-//! claim a new cell while its open cell is suspended, so at most one call
-//! is in flight. Suspension changes only *when* cells execute — reports stay
-//! bit-identical to the blocking path, property-tested in
-//! `tests/integration_nonblocking.rs`.
+//! blocking. A worker polls its suspended cell until the call completes
+//! and claims nothing meanwhile: latency is counted in polls, so
+//! overlapping calls would save no host time, and resuming a heavy cell
+//! between light ones only stretches it. At most one call is in flight
+//! per worker ([`crate::sched::RoundSched::max_in_flight`]). Suspension
+//! changes only *when* cells execute — reports stay bit-identical to the
+//! blocking path, property-tested in `tests/integration_nonblocking.rs`.
 //!
 //! ## Failure domains
 //!
@@ -69,14 +80,18 @@
 //! submission index ([`llmsim::failures`]), so serial, parallel and
 //! latency-injected runs of a failure-injected grid still produce
 //! byte-identical canonical streams (`tests/integration_failures.rs`).
+//! A panic outside every cell — in an observer callback, on a worker or
+//! on the coordinating thread — stops the pool and ends [`Campaign::run`]
+//! with that panic.
 //!
 //! ## Crash-consistent resume
 //!
 //! An interrupted campaign leaves a partial run record behind. Configure
 //! an identical campaign and call [`Campaign::resume_from`] with the
 //! parsed record: every *complete* round is replayed from the recorded
-//! cells (re-notified and re-merged in grid order, never re-executed) and
-//! only the remainder runs live. Because recorded runs round-trip
+//! cells (re-notified and re-merged in grid order by the same loop that
+//! merges live rounds, never re-executed) and only the remainder runs
+//! live. Because recorded runs round-trip
 //! exactly, the resumed record and report are bit-identical to an
 //! uninterrupted run's.
 //!
@@ -86,8 +101,9 @@
 //! lifecycle callbacks (campaign/round start, cells finished or failed in
 //! grid order, rule merges, campaign end) fire deterministically on the
 //! coordinating thread, while telemetry callbacks (claims, suspensions,
-//! publishes, planned orders, round stats) stream live from the worker
-//! loop. [`crate::obs`] builds the JSONL run record and the live
+//! parks, publishes, planned orders, round stats) stream live from the
+//! worker pool. A round's planned order and its early claims come before
+//! its canonical `on_round_start`. [`crate::obs`] builds the JSONL run record and the live
 //! progress board on this seam; observation never changes the report
 //! (pinned by `tests/integration_obs.rs`).
 
@@ -100,8 +116,7 @@ use serde::{Deserialize, Serialize};
 use simcore::rng::{combine, stable_hash};
 use std::fmt;
 use std::panic::AssertUnwindSafe;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 use workloads::{Workload, WorkloadKind};
 
@@ -183,13 +198,14 @@ pub struct CampaignGrid {
 /// * **telemetry** — [`on_round_planned`](CampaignObserver::on_round_planned),
 ///   [`on_cell_claimed`](CampaignObserver::on_cell_claimed),
 ///   [`on_cell_suspended`](CampaignObserver::on_cell_suspended),
+///   [`on_cell_parked`](CampaignObserver::on_cell_parked),
 ///   [`on_cell_published`](CampaignObserver::on_cell_published) and
 ///   [`on_round_finished`](CampaignObserver::on_round_finished) report
 ///   *how* the grid executed — worker claims interleave live from worker
 ///   threads, so their order is real but not reproducible.
 ///
 /// Observers must be [`Send`]: telemetry callbacks arrive from the worker
-/// threads that execute each round, serial runs included (serialized
+/// threads that execute the rounds, serial runs included (serialized
 /// through a lock — methods never run concurrently, but may run on
 /// different threads).
 pub trait CampaignObserver: Send {
@@ -220,14 +236,21 @@ pub trait CampaignObserver: Send {
         let _ = (worker, seed, grid_idx, call);
     }
 
+    /// Telemetry: the cell at `grid_idx`, claimed before its round's
+    /// rules were published, stepped up to its rule lookup and waits,
+    /// holding no backend call, for the previous round's merges.
+    fn on_cell_parked(&mut self, worker: usize, seed: u64, grid_idx: usize) {
+        let _ = (worker, seed, grid_idx);
+    }
+
     /// Telemetry: `worker` finished the cell at `grid_idx` after
     /// `busy_secs` of active stepping time.
     fn on_cell_published(&mut self, worker: usize, seed: u64, grid_idx: usize, busy_secs: f64) {
         let _ = (worker, seed, grid_idx, busy_secs);
     }
 
-    /// Canonical: one finished cell, delivered in grid order after the
-    /// round's barrier (not in completion order). Only fires for cells
+    /// Canonical: one finished cell, delivered in grid order once all of
+    /// the round's cells have finished (not in completion order). Only fires for cells
     /// whose outcome is [`CellOutcome::Finished`]; failed cells go to
     /// [`on_cell_failed`](CampaignObserver::on_cell_failed) instead.
     fn on_cell_finished(&mut self, cell: &CampaignCell) {
@@ -235,7 +258,7 @@ pub trait CampaignObserver: Send {
     }
 
     /// Canonical: one *failed* cell (structured session error or caught
-    /// panic), delivered in grid order after the round's barrier exactly
+    /// panic), delivered in grid order with the round's other cells, exactly
     /// like [`on_cell_finished`](CampaignObserver::on_cell_finished).
     /// Failed cells merge no rules, so no
     /// [`on_rules_merged`](CampaignObserver::on_rules_merged) follows.
@@ -508,6 +531,185 @@ fn merge_usage(into: &mut UsageMeter, from: &UsageMeter) {
     into.output_tokens += from.output_tokens;
 }
 
+/// A cell a worker holds: its session, and what its round's telemetry
+/// reports about it.
+struct OpenCell<'s> {
+    /// Round position (index into the campaign's seeds).
+    round: usize,
+    grid_idx: usize,
+    session: TuningSession<'s>,
+    /// Time the worker actively spent stepping the cell, before and after
+    /// any park — NOT claim-to-publish elapsed time, which would also
+    /// count the park and the round's merges, handing the adaptive cost
+    /// model a round-sized "measurement" for every parked cell.
+    busy_secs: f64,
+    /// Whether the last step left the cell suspended on a backend call.
+    waiting: bool,
+    /// Whether the cell ever suspended on a backend call.
+    suspended: bool,
+}
+
+/// A finished cell, held in its round's slot until the coordinating
+/// thread merges the round.
+struct Published {
+    cell: CampaignCell,
+    busy_secs: f64,
+    suspended: bool,
+}
+
+/// One round as the worker pool sees it.
+#[derive(Default)]
+struct PoolRound {
+    /// Claim order (grid indices); empty until the round is planned.
+    order: Vec<usize>,
+    /// How many cells of `order` workers have claimed.
+    claimed: usize,
+    /// The snapshot the round's cells read, once published.
+    rules: Option<RuleSnapshot>,
+    /// Finished cells, in grid order.
+    cells: Vec<Option<Published>>,
+    /// How many of `cells` are filled.
+    published: usize,
+}
+
+/// What the coordinating thread and the workers share, behind
+/// [`Pool`]'s lock.
+struct PoolState {
+    /// Every round of the campaign, by position. Replayed rounds are
+    /// never planned, so workers never claim them.
+    rounds: Vec<PoolRound>,
+    /// Live cells no worker has claimed yet. A worker exits once this is
+    /// 0 and it holds no parked cell.
+    unclaimed: usize,
+    /// Per worker: when its current busy stretch began, or when the
+    /// current window did if that is later. `None` while it waits.
+    busy_since: Vec<Option<Instant>>,
+    /// Worker busy seconds inside the current window.
+    window_busy: f64,
+    /// Set when a thread panics: every other thread stops and returns.
+    aborted: bool,
+}
+
+impl PoolState {
+    /// Claim the next planned cell of the earliest round that has one
+    /// left. A worker that holds a parked cell claims only from rounds
+    /// whose rules are out, so it never parks a second cell.
+    fn claim(&mut self, holds_parked: bool) -> Option<(usize, usize)> {
+        let (round, slots) = self
+            .rounds
+            .iter_mut()
+            .enumerate()
+            .find(|(_, r)| r.claimed < r.order.len() && (!holds_parked || r.rules.is_some()))?;
+        let grid_idx = slots.order[slots.claimed];
+        slots.claimed += 1;
+        self.unclaimed -= 1;
+        Some((round, grid_idx))
+    }
+
+    /// Start (`busy`) or end a worker's busy stretch, crediting the
+    /// current window with the time since it began.
+    fn set_busy(&mut self, worker: usize, busy: bool) {
+        // detlint::allow(D001): worker busy time is sched telemetry (round
+        // utilization in the strippable sidecar), never canonical
+        let now = Instant::now();
+        if let Some(since) = self.busy_since[worker].take() {
+            self.window_busy += (now - since).as_secs_f64();
+        }
+        if busy {
+            self.busy_since[worker] = Some(now);
+        }
+    }
+
+    /// End the current window now: the worker busy seconds inside it,
+    /// with every stretch still open split at this instant, and the
+    /// instant itself.
+    fn close_window(&mut self) -> (f64, Instant) {
+        // detlint::allow(D001): round windows are sched telemetry, as above
+        let now = Instant::now();
+        for since in self.busy_since.iter_mut().flatten() {
+            self.window_busy += (now - *since).as_secs_f64();
+            *since = now;
+        }
+        (std::mem::take(&mut self.window_busy), now)
+    }
+}
+
+/// The worker pool of one campaign run: the shared state, and one
+/// condition variable that wakes every waiting thread on each change.
+struct Pool {
+    state: Mutex<PoolState>,
+    changed: Condvar,
+}
+
+impl Pool {
+    /// Lock the state. Recovers a poisoned lock: a panicking thread has
+    /// set `aborted` by the time anyone else looks.
+    fn lock(&self) -> MutexGuard<'_, PoolState> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    fn wait<'g>(&self, guard: MutexGuard<'g, PoolState>) -> MutexGuard<'g, PoolState> {
+        self.changed
+            .wait(guard)
+            .unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Change the state and wake every waiting thread.
+    fn update<T>(&self, change: impl FnOnce(&mut PoolState) -> T) -> T {
+        let out = change(&mut self.lock());
+        self.changed.notify_all();
+        out
+    }
+
+    /// Wait until every cell of round `k` is published, then take the
+    /// round's planned order and its cells in grid order. Taking the
+    /// round drops its rule snapshot, so the merges that follow do not
+    /// copy the rule set away from it. `None` when a thread panicked.
+    fn take_round(&self, k: usize) -> Option<(Vec<usize>, Vec<Published>)> {
+        let mut state = self.lock();
+        while !state.aborted {
+            let round = &mut state.rounds[k];
+            if round.published == round.cells.len() {
+                let PoolRound { order, cells, .. } = std::mem::take(round);
+                let cells = cells.into_iter().map(|c| c.expect("every cell published"));
+                return Some((order, cells.collect()));
+            }
+            state = self.wait(state);
+        }
+        None
+    }
+}
+
+/// Aborts the pool when the thread holding it unwinds, so no other
+/// thread waits forever on a cell, a round or rules the panicking thread
+/// would have produced. The panic itself reaches `run()` through the
+/// worker's join or through the coordinating thread's own unwind.
+struct AbortOnPanic<'p>(&'p Pool);
+
+impl Drop for AbortOnPanic<'_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            self.0.update(|state| state.aborted = true);
+        }
+    }
+}
+
+/// Wait for every worker to exit, and end the campaign with the first
+/// worker panic. Leaving the scope alone returns once the worker
+/// closures end, which can be before their threads exit and hand their
+/// allocator arenas back, so the next campaign's workers would find no
+/// free arena and make new ones: peak memory would depend on thread
+/// timing. Joining waits for each thread's exit.
+fn join_workers(handles: Vec<std::thread::ScopedJoinHandle<'_, ()>>) {
+    for handle in handles {
+        // detlint::allow(D007): workers return nothing; cells publish into
+        // grid slots, and this only waits for exit
+        if let Err(payload) = handle.join() {
+            std::panic::resume_unwind(payload);
+        }
+    }
+}
+
 /// A configurable workload × seed grid. See the module docs.
 pub struct Campaign<'e> {
     engine: &'e Stellar,
@@ -650,18 +852,14 @@ impl<'e> Campaign<'e> {
     /// Open (but do not run) the session for one cell. The cell seed is
     /// fully derived (workload name + grid position already mixed in), so
     /// this bypasses the engine's SeedPolicy instead of letting
-    /// PerWorkload hash the name in a second time. The snapshot clone is
-    /// O(1): cells share the round's rule set, not copies.
-    fn open_session(
-        &self,
-        seed: u64,
-        workload_idx: usize,
-        rules: &RuleSnapshot,
-    ) -> TuningSession<'_> {
+    /// PerWorkload hash the name in a second time. The session opens
+    /// without rules: it binds its round's snapshot when it reaches its
+    /// rule lookup (see [`Campaign::work`]).
+    fn open_session(&self, seed: u64, workload_idx: usize) -> TuningSession<'_> {
         TuningSession::with_run_seed(
             self.engine,
             self.workloads[workload_idx].as_ref(),
-            rules.clone(),
+            None,
             self.cell_seed(seed, workload_idx),
         )
     }
@@ -678,160 +876,154 @@ impl<'e> Campaign<'e> {
         }
     }
 
-    /// One round (all workloads at one seed) on `workers` scoped worker
-    /// threads, claiming cells in `order`. Returns `(cell, busy_secs)`
-    /// pairs in grid order plus the round's peak of simultaneously
-    /// in-flight backend calls on any one worker: results land in
-    /// per-slot `OnceLock`s — one lock-free atomic publish per cell.
+    /// One pool worker, alive for the whole campaign.
     ///
-    /// ## Worker multiplexing
+    /// The worker claims cells in their rounds' planned order, earliest
+    /// round first, and steps one cell at a time until it ends. It claims
+    /// only while it holds no cell or only a parked one, so it never
+    /// claims ahead of a cell suspended on a backend call: latency is
+    /// counted in polls, so overlapping calls would save no host time.
     ///
-    /// Workers *step* sessions rather than draining them. On the instant
-    /// backend a session never suspends, so a worker carries one cell to
-    /// completion before claiming the next. With backend latency
-    /// injected, a session step can return [`SessionEvent::Waiting`]; with
-    /// `claim_ahead` set, once **all** of a worker's open cells are
-    /// suspended it claims the next planned cell instead of idling, then
-    /// keeps polling the suspended set round-robin. K backend calls
-    /// thereby overlap in flight on a single thread, while results still
-    /// publish into grid-indexed slots and rule merges stay in grid order
-    /// — reports are bit-identical to the blocking path (property-tested
-    /// in `tests/integration_nonblocking.rs`).
+    /// With nothing left in the open round, the worker claims the next
+    /// round's next planned cell. When that cell reaches its rule lookup
+    /// before the coordinating thread has published the round's rules,
+    /// the worker *parks* it, holding no backend call, and resumes it
+    /// once the rules are out. A worker holds at most one parked cell:
+    /// with one parked, it claims only from rounds whose rules are out.
     ///
-    /// ## Serial rounds
-    ///
-    /// [`Campaign::run_serial`] runs this loop with one worker, grid order
-    /// and `claim_ahead` off: the worker does not claim a new cell while
-    /// its open cell is suspended, so at most one call is in flight and
-    /// each cell publishes before the next is claimed.
-    fn run_round(
+    /// Finished cells go into their round's grid-indexed slots, and the
+    /// coordinating thread merges them in grid order, so the worker count,
+    /// the claim order and any latency never change the report
+    /// (`tests/integration_nonblocking.rs`, `tests/integration_campaign.rs`).
+    fn work(&self, pool: &Pool, worker: usize) {
+        let _abort = AbortOnPanic(pool);
+        let mut parked: Option<OpenCell> = None;
+        loop {
+            let claimed = {
+                let mut state = pool.lock();
+                let claimed = loop {
+                    if state.aborted {
+                        return;
+                    }
+                    if parked
+                        .as_ref()
+                        .is_some_and(|p| state.rounds[p.round].rules.is_some())
+                    {
+                        break None;
+                    }
+                    if let Some(claim) = state.claim(parked.is_some()) {
+                        break Some(claim);
+                    }
+                    if state.unclaimed == 0 && parked.is_none() {
+                        return;
+                    }
+                    state = pool.wait(state);
+                };
+                state.set_busy(worker, true);
+                claimed
+            };
+            let mut cell = match claimed {
+                Some((round, grid_idx)) => {
+                    let seed = self.seeds[round];
+                    let name = self.workloads[grid_idx].name();
+                    self.notify(|o| o.on_cell_claimed(worker, seed, grid_idx, &name));
+                    OpenCell {
+                        round,
+                        grid_idx,
+                        session: self.open_session(seed, grid_idx),
+                        busy_secs: 0.0,
+                        waiting: false,
+                        suspended: false,
+                    }
+                }
+                None => parked.take().expect("the worker resumes its parked cell"),
+            };
+            let seed = self.seeds[cell.round];
+            let Some(step) = self.step_cell(pool, worker, &mut cell) else {
+                let i = cell.grid_idx;
+                self.notify(|o| o.on_cell_parked(worker, seed, i));
+                parked = Some(cell);
+                continue;
+            };
+            let OpenCell {
+                round,
+                grid_idx: i,
+                session,
+                busy_secs,
+                suspended,
+                ..
+            } = cell;
+            let outcome = match step {
+                Ok(_) => CellOutcome::from(session.into_outcome()),
+                Err(payload) => CellOutcome::Failed(CellFailure::Panic(panic_message(payload))),
+            };
+            // Notify before the cell reaches its slot, so the note
+            // precedes the round's canonical events in a run record.
+            self.notify(|o| o.on_cell_published(worker, seed, i, busy_secs));
+            let published = Published {
+                cell: self.cell(seed, i, outcome),
+                busy_secs,
+                suspended,
+            };
+            pool.update(|state| {
+                state.set_busy(worker, false);
+                let slots = &mut state.rounds[round];
+                assert!(
+                    slots.cells[i].replace(published).is_none(),
+                    "cell {i} executed twice"
+                );
+                slots.published += 1;
+            });
+        }
+    }
+
+    /// Step `cell` until it ends, returning its last step (`Err` when the
+    /// step panicked), or until it reaches its rule lookup before its
+    /// round's rules are out: then the worker's busy stretch ends and the
+    /// cell parks (`None`).
+    fn step_cell(
         &self,
-        seed: u64,
-        rules: &RuleSnapshot,
-        order: &[usize],
-        workers: usize,
-        claim_ahead: bool,
-    ) -> (Vec<(CampaignCell, f64)>, usize) {
-        let n = self.workloads.len();
-        debug_assert_eq!(order.len(), n);
-        let slots: Vec<OnceLock<(CampaignCell, f64)>> = (0..n).map(|_| OnceLock::new()).collect();
-        let next = AtomicUsize::new(0);
-        let in_flight_peak = AtomicUsize::new(0);
-        std::thread::scope(|scope| {
-            let mut handles = Vec::with_capacity(workers);
-            for worker in 0..workers {
-                let (slots, next, in_flight_peak) = (&slots, &next, &in_flight_peak);
-                handles.push(scope.spawn(move || {
-                    struct Open<'s> {
-                        grid_idx: usize,
-                        session: TuningSession<'s>,
-                        /// Time this worker actively spent stepping the
-                        /// cell — NOT claim-to-publish elapsed time,
-                        /// which under multiplexing would also count
-                        /// suspension and sibling cells' work, feeding
-                        /// the adaptive cost model makespan-sized
-                        /// "measurements" for every overlapped cell.
-                        busy_secs: f64,
-                        waiting: bool,
-                    }
-                    let mut open: Vec<Open> = Vec::new();
-                    let mut peak = 0usize;
-                    loop {
-                        // Claim when idle (nothing open) or, claiming
-                        // ahead, when every open cell is suspended on an
-                        // in-flight call.
-                        let may_claim =
-                            open.is_empty() || (claim_ahead && open.iter().all(|c| c.waiting));
-                        if may_claim && next.load(Ordering::Relaxed) < n {
-                            let k = next.fetch_add(1, Ordering::Relaxed);
-                            if k < n {
-                                let i = order[k];
-                                open.push(Open {
-                                    grid_idx: i,
-                                    session: self.open_session(seed, i, rules),
-                                    busy_secs: 0.0,
-                                    waiting: false,
-                                });
-                                self.notify(|o| {
-                                    o.on_cell_claimed(worker, seed, i, &self.workloads[i].name())
-                                });
-                            }
-                        }
-                        if open.is_empty() {
-                            break;
-                        }
-                        // Advance every open cell by one step; a step on
-                        // a suspended cell polls its call (one tick).
-                        let mut idx = 0;
-                        while idx < open.len() {
-                            // detlint::allow(D001): per-cell active stepping time feeds the
-                            // adaptive cost model and the strippable sched sidecar only
-                            let t0 = Instant::now();
-                            // The cell's failure domain: a panicking step
-                            // fails *this* cell (the broken session is
-                            // discarded) while siblings and other workers
-                            // keep running.
-                            let step = std::panic::catch_unwind(AssertUnwindSafe(|| {
-                                open[idx].session.step()
-                            }));
-                            open[idx].busy_secs += t0.elapsed().as_secs_f64();
-                            if let Ok(event) = &step {
-                                let was_waiting = open[idx].waiting;
-                                open[idx].waiting = matches!(event, SessionEvent::Waiting { .. });
-                                // Announce the *transition* into suspension,
-                                // not every poll of an already-waiting cell.
-                                if open[idx].waiting && !was_waiting {
-                                    if let SessionEvent::Waiting { call } = *event {
-                                        let i = open[idx].grid_idx;
-                                        self.notify(|o| o.on_cell_suspended(worker, seed, i, call));
-                                    }
-                                }
-                                // A waiting cell holds a live in-flight call
-                                // until a later step completes it, so this
-                                // count is the worker's simultaneous
-                                // in-flight calls at this instant.
-                                peak = peak.max(open.iter().filter(|c| c.waiting).count());
-                                if !open[idx].session.is_ended() {
-                                    idx += 1;
-                                    continue;
-                                }
-                            }
-                            // The cell ended or panicked: publish it.
-                            // swap_remove puts another open cell at idx.
-                            let done = open.swap_remove(idx);
-                            let outcome = match step {
-                                Ok(_) => CellOutcome::from(done.session.into_outcome()),
-                                Err(payload) => {
-                                    CellOutcome::Failed(CellFailure::Panic(panic_message(payload)))
-                                }
-                            };
-                            let i = done.grid_idx;
-                            let set = slots[i].set((self.cell(seed, i, outcome), done.busy_secs));
-                            assert!(set.is_ok(), "cell {i} executed twice");
-                            self.notify(|o| o.on_cell_published(worker, seed, i, done.busy_secs));
-                        }
-                    }
-                    in_flight_peak.fetch_max(peak, Ordering::Relaxed);
-                }));
+        pool: &Pool,
+        worker: usize,
+        cell: &mut OpenCell<'_>,
+    ) -> Option<std::thread::Result<SessionEvent>> {
+        let seed = self.seeds[cell.round];
+        loop {
+            if cell.session.needs_rules() {
+                let mut state = pool.lock();
+                let Some(rules) = state.rounds[cell.round].rules.clone() else {
+                    state.set_busy(worker, false);
+                    return None;
+                };
+                drop(state);
+                cell.session.bind_rules(rules);
             }
-            // The scope alone returns once the worker closures end, which
-            // can be before their threads exit and hand their allocator
-            // arenas back; the next round's workers would then find no
-            // free arena and make new ones, so peak memory would depend
-            // on thread timing. Joining waits for each thread's exit.
-            for handle in handles {
-                // detlint::allow(D007): workers return nothing; cells
-                // publish into grid slots, and this only waits for exit
-                if let Err(payload) = handle.join() {
-                    std::panic::resume_unwind(payload);
+            // detlint::allow(D001): per-cell active stepping time feeds the
+            // adaptive cost model and the strippable sched sidecar only
+            let t0 = Instant::now();
+            // The cell's failure domain: a panicking step fails *this* cell
+            // (the broken session is discarded) while the worker and its
+            // siblings keep running.
+            let step = std::panic::catch_unwind(AssertUnwindSafe(|| cell.session.step()));
+            cell.busy_secs += t0.elapsed().as_secs_f64();
+            let Ok(event) = &step else {
+                return Some(step);
+            };
+            // Announce the *transition* into suspension, not every poll of
+            // an already-waiting cell.
+            let waiting = matches!(event, SessionEvent::Waiting { .. });
+            if let SessionEvent::Waiting { call } = *event {
+                if !cell.waiting {
+                    let i = cell.grid_idx;
+                    self.notify(|o| o.on_cell_suspended(worker, seed, i, call));
                 }
             }
-        });
-        let cells = slots
-            .into_iter()
-            .map(|s| s.into_inner().expect("every cell executed"))
-            .collect();
-        (cells, in_flight_peak.into_inner())
+            cell.waiting = waiting;
+            cell.suspended |= waiting;
+            if cell.session.is_ended() {
+                return Some(step);
+            }
+        }
     }
 
     /// The grid announced to [`CampaignObserver::on_campaign_start`] when
@@ -853,6 +1045,16 @@ impl<'e> Campaign<'e> {
         }
     }
 
+    /// Run the grid on one worker pool that lasts the whole campaign.
+    ///
+    /// This thread coordinates: it opens each round, plans the rounds
+    /// workers may claim, waits for the open round's cells, merges them in
+    /// grid order and publishes the next round's rules. Replayed rounds go
+    /// through the same merge loop without executing. Round *r + 1* is
+    /// planned when round *r* opens, from cell times measured through
+    /// round *r − 1*, so a worker with nothing left in round *r* can
+    /// claim it (parallel runs only; a serial run plans each round when
+    /// it opens and never looks ahead).
     fn execute(&self, parallel: bool) -> CampaignReport {
         assert!(
             !self.workloads.is_empty() && !self.seeds.is_empty(),
@@ -863,8 +1065,10 @@ impl<'e> Campaign<'e> {
         // Cold rounds always start from the pre-campaign state; taking the
         // snapshot once up front shares it across every round for free.
         let base_snapshot = store.snapshot();
+        let n = self.workloads.len();
+        let rounds = self.seeds.len();
         let workers = if parallel {
-            self.threads.min(self.workloads.len()).max(1)
+            self.threads.min(n).max(1)
         } else {
             1
         };
@@ -877,7 +1081,7 @@ impl<'e> Campaign<'e> {
             threads_requested: self.threads,
             workers,
             parallelism_fallback: self.parallelism_fallback,
-            rounds: Vec::with_capacity(self.seeds.len()),
+            rounds: Vec::with_capacity(rounds),
         };
         // Cost model: parameter-derived hints up front, measured wall times
         // folded back in after every round (the adaptive feedback loop).
@@ -889,108 +1093,157 @@ impl<'e> Campaign<'e> {
             let topo = self.engine.sim().topology();
             CostModel::from_hints(self.workloads.iter().map(|w| w.cost_hint(topo)))
         });
-        if let Some(o) = self.order_override.as_ref().filter(|_| parallel) {
+        let order_override = self.order_override.as_ref().filter(|_| parallel);
+        if let Some(o) = order_override {
             let mut check = o.clone();
             check.sort_unstable();
             assert!(
-                check.iter().copied().eq(0..self.workloads.len()),
-                "order override must be a permutation of 0..{}",
-                self.workloads.len()
+                check.iter().copied().eq(0..n),
+                "order override must be a permutation of 0..{n}"
             );
         }
         let grid = self.grid(workers, sched_stats.schedule);
         self.notify(|o| o.on_campaign_start(&grid));
-        let mut cells = Vec::with_capacity(self.workloads.len() * self.seeds.len());
-        for (round_idx, &seed) in self.seeds.iter().enumerate() {
-            self.notify(|o| o.on_round_start(seed));
-            // Crash-consistent resume: rounds reconstructed from a
-            // partial record replay — same canonical notifications, same
-            // grid-order merges, no execution. Telemetry (which measures
-            // execution) records a zeroed round, and the cost model is
-            // not fed: replayed cells cost nothing here.
-            let (round, round_sched) = match self.replay.get(round_idx) {
-                Some(replayed) => {
-                    let zeroed = RoundSched {
-                        seed,
-                        order: (0..self.workloads.len()).collect(),
-                        cell_secs: vec![0.0; self.workloads.len()],
-                        makespan_secs: 0.0,
-                        utilization: 0.0,
-                        max_in_flight: 0,
-                    };
-                    (replayed.clone(), zeroed)
-                }
-                None => {
-                    // O(1) either way: snapshots share the set, they
-                    // don't clone rules. This one is dropped with the
-                    // round's sessions before the merges below.
-                    let snapshot = match self.mode {
-                        RuleMode::Cold => base_snapshot.clone(),
-                        RuleMode::Warm => store.snapshot(),
-                    };
+        let live = self.replay.len().min(rounds);
+        let pool = Pool {
+            state: Mutex::new(PoolState {
+                rounds: (0..rounds).map(|_| PoolRound::default()).collect(),
+                unclaimed: (rounds - live) * n,
+                busy_since: vec![None; workers],
+                window_busy: 0.0,
+                aborted: false,
+            }),
+            changed: Condvar::new(),
+        };
+        // The rules a round's cells read: O(1) either way, since snapshots
+        // share the set. Round r + 1's are published only after round r's
+        // merges, in both modes, so a next-round cell parks at its rule
+        // lookup and every round's cells run inside the window it reports.
+        let round_rules = |store: &ShardedRuleStore| match self.mode {
+            RuleMode::Cold => base_snapshot.clone(),
+            RuleMode::Warm => store.snapshot(),
+        };
+        if live == 0 {
+            pool.update(|state| state.rounds[0].rules = Some(round_rules(&store)));
+        }
+        // Rounds past the open one that workers may claim.
+        let ahead = usize::from(parallel);
+        let mut cells = Vec::with_capacity(n * rounds);
+        std::thread::scope(|scope| {
+            let _abort = AbortOnPanic(&pool);
+            // detlint::allow(D001): round windows are sched telemetry — rendered on
+            // stderr and recorded in the strippable sidecar, never in canonical events
+            let mut window_start = Instant::now();
+            let handles: Vec<_> = (0..workers)
+                .map(|worker| {
+                    let pool = &pool;
+                    scope.spawn(move || self.work(pool, worker))
+                })
+                .collect();
+            let mut next_plan = live;
+            for (k, &seed) in self.seeds.iter().enumerate() {
+                self.notify(|o| o.on_round_start(seed));
+                while next_plan < rounds && next_plan <= k + ahead {
                     // Serial rounds always execute in grid order, so that
                     // is what the telemetry must report (overrides only
                     // steer `run()`).
-                    let order = match (&model, self.order_override.as_ref().filter(|_| parallel)) {
+                    let order = match (&model, order_override) {
                         (_, Some(o)) => o.clone(),
                         (Some(m), None) => sched::plan(m),
-                        (None, None) => (0..self.workloads.len()).collect(),
+                        (None, None) => (0..n).collect(),
                     };
-                    self.notify(|o| o.on_round_planned(seed, sched_stats.schedule, &order));
-                    // detlint::allow(D001): round makespan is sched telemetry — rendered on
-                    // stderr and recorded in the strippable sidecar, never in canonical events
-                    let round_start = Instant::now();
-                    let (round, max_in_flight) =
-                        self.run_round(seed, &snapshot, &order, workers, parallel);
-                    let makespan_secs = round_start.elapsed().as_secs_f64();
-                    let (round, cell_secs): (Vec<CampaignCell>, Vec<f64>) =
-                        round.into_iter().unzip();
-                    if let Some(m) = model.as_mut() {
-                        // Failed cells measure time-to-failure, not
-                        // workload cost — don't let them skew the
-                        // adaptive model.
-                        for (i, &secs) in cell_secs.iter().enumerate() {
-                            if !round[i].is_failed() {
-                                m.observe(i, secs);
+                    let planned_seed = self.seeds[next_plan];
+                    self.notify(|o| o.on_round_planned(planned_seed, sched_stats.schedule, &order));
+                    pool.update(|state| {
+                        let round = &mut state.rounds[next_plan];
+                        round.order = order;
+                        round.cells = (0..n).map(|_| None).collect();
+                    });
+                    next_plan += 1;
+                }
+                // Crash-consistent resume: rounds reconstructed from a
+                // partial record replay — same canonical notifications, same
+                // grid-order merges, no execution. Telemetry (which measures
+                // execution) records a zeroed round, and the cost model is
+                // not fed: replayed cells cost nothing here.
+                let (round, measured) = match self.replay.get(k) {
+                    Some(replayed) => (replayed.clone(), None),
+                    None => {
+                        let Some((order, executed)) = pool.take_round(k) else {
+                            join_workers(handles);
+                            unreachable!("the pool aborts only when a thread panics");
+                        };
+                        let mut round = Vec::with_capacity(n);
+                        let mut cell_secs = Vec::with_capacity(n);
+                        let mut suspended = false;
+                        for (i, p) in executed.into_iter().enumerate() {
+                            // Failed cells measure time-to-failure, not
+                            // workload cost — don't let them skew the
+                            // adaptive model.
+                            if let Some(m) = model.as_mut().filter(|_| !p.cell.is_failed()) {
+                                m.observe(i, p.busy_secs);
                             }
+                            cell_secs.push(p.busy_secs);
+                            suspended |= p.suspended;
+                            round.push(p.cell);
                         }
+                        (round, Some((order, cell_secs, suspended)))
                     }
-                    let busy: f64 = cell_secs.iter().sum();
-                    let measured = RoundSched {
+                };
+                // Merge learnings in grid order — deterministic regardless
+                // of which thread finished first. Outstanding snapshots are
+                // untouched: the store copies the set away from them.
+                // Canonical observer events follow the same grid order, so
+                // an attached emitter's semantic stream is reproducible no
+                // matter which worker finished which cell first. Failed
+                // cells merge nothing — a partial session must not leak
+                // half-learned rules into its siblings' snapshots.
+                for cell in &round {
+                    match &cell.outcome {
+                        CellOutcome::Finished(run) => {
+                            self.notify(|o| o.on_cell_finished(cell));
+                            store.merge(run.new_rules.clone());
+                            self.notify(|o| {
+                                o.on_rules_merged(&cell.workload, run.new_rules.len(), store.len())
+                            });
+                        }
+                        CellOutcome::Failed(_) => self.notify(|o| o.on_cell_failed(cell)),
+                    }
+                }
+                // The merges end the round's window; parked cells of the
+                // next round resume on the rules published here.
+                let (busy, window_end) = pool.update(|state| {
+                    if (live..rounds).contains(&(k + 1)) {
+                        state.rounds[k + 1].rules = Some(round_rules(&store));
+                    }
+                    state.close_window()
+                });
+                let makespan_secs = (window_end - window_start).as_secs_f64();
+                window_start = window_end;
+                let round_sched = match measured {
+                    Some((order, cell_secs, suspended)) => RoundSched {
                         seed,
                         order,
                         cell_secs,
                         makespan_secs,
                         utilization: sched::round_utilization(busy, workers, makespan_secs),
-                        max_in_flight,
-                    };
-                    (round, measured)
-                }
-            };
-            // Merge learnings in grid order — deterministic regardless of
-            // which thread finished first. Outstanding snapshots are
-            // untouched: the store copies the set away from them.
-            // Canonical observer events follow the same grid order, so an
-            // attached emitter's semantic stream is reproducible no matter
-            // which worker finished which cell first. Failed cells merge
-            // nothing — a partial session must not leak half-learned
-            // rules into its siblings' snapshots.
-            for cell in &round {
-                match &cell.outcome {
-                    CellOutcome::Finished(run) => {
-                        self.notify(|o| o.on_cell_finished(cell));
-                        store.merge(run.new_rules.clone());
-                        self.notify(|o| {
-                            o.on_rules_merged(&cell.workload, run.new_rules.len(), store.len())
-                        });
-                    }
-                    CellOutcome::Failed(_) => self.notify(|o| o.on_cell_failed(cell)),
-                }
+                        max_in_flight: usize::from(suspended),
+                    },
+                    None => RoundSched {
+                        seed,
+                        order: (0..n).collect(),
+                        cell_secs: vec![0.0; n],
+                        makespan_secs: 0.0,
+                        utilization: 0.0,
+                        max_in_flight: 0,
+                    },
+                };
+                self.notify(|o| o.on_round_finished(&round_sched));
+                sched_stats.rounds.push(round_sched);
+                cells.extend(round);
             }
-            self.notify(|o| o.on_round_finished(&round_sched));
-            sched_stats.rounds.push(round_sched);
-            cells.extend(round);
-        }
+            join_workers(handles);
+        });
         let report = CampaignReport {
             cells,
             rules: store.to_rule_set(),
@@ -1007,8 +1260,8 @@ impl<'e> Campaign<'e> {
     }
 
     /// Run the grid serially (same result as [`Campaign::run`]): the
-    /// worker loop with one worker in grid order, which never claims a
-    /// new cell while its open cell is suspended.
+    /// worker pool with one worker, in grid order, which never opens the
+    /// next round before the open one has merged.
     pub fn run_serial(&self) -> CampaignReport {
         self.execute(false)
     }

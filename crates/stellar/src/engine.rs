@@ -53,8 +53,8 @@ pub struct StellarOptions {
     /// The latency of each session's [`llmsim::SimTransport`], the
     /// simulated provider every agent turn goes through. When set,
     /// sessions suspend ([`crate::SessionEvent::Waiting`]) instead of
-    /// blocking while a call is in flight, and campaign workers multiplex
-    /// suspended cells. `None` (the default) is an instant provider: every
+    /// blocking while a call is in flight, and campaign workers poll them
+    /// through it. `None` (the default) is an instant provider: every
     /// call completes on its first poll. Results are bit-identical either
     /// way — latency changes *when* work happens, never what it computes.
     pub backend_latency: Option<llmsim::LatencyProfile>,

@@ -4,7 +4,9 @@
 //! must all finish before the round's rule merge — a classic makespan
 //! problem. The historical scheduler drained cells in naive grid (FIFO)
 //! order from an atomic counter, so one late-claimed heavy MDWorkbench
-//! cell could strand every other worker at the round barrier.
+//! cell could strand every other worker at the round barrier. Workers
+//! now claim the next round's heaviest cell early instead of idling, but
+//! the heaviest cell still sets the round's length, so it goes first.
 //!
 //! This module supplies the three pieces the [`crate::Campaign`] runner
 //! composes:
@@ -150,9 +152,10 @@ pub fn plan(model: &CostModel) -> Vec<usize> {
 /// Greedy list-scheduling makespan: cells execute in `order`, each claimed
 /// by the earliest-free of `workers` workers (ties to the lowest worker).
 ///
-/// This mirrors the claim loop in `Campaign::run_round` exactly, so
-/// `perfsuite` can compare orders from measured per-cell costs without
-/// needing the host to actually have that many cores.
+/// This mirrors how workers claim one round's cells (without the
+/// next-round look-ahead), so `perfsuite` can compare orders from
+/// measured per-cell costs without needing the host to actually have
+/// that many cores.
 pub fn makespan(order: &[usize], costs: &[f64], workers: usize) -> f64 {
     let w = workers.clamp(1, order.len().max(1));
     let mut busy = vec![0.0f64; w];
@@ -202,23 +205,26 @@ pub struct RoundSched {
     pub seed: u64,
     /// Execution order used (grid indices, first-claimed first).
     pub order: Vec<usize>,
-    /// Active worker seconds per cell, in grid order: the time a worker
-    /// actually spent stepping the cell. Under multiplexing this
-    /// excludes suspension and sibling cells' work (claim-to-publish
-    /// elapsed time would count both, handing the adaptive cost model
-    /// makespan-sized "measurements" for every overlapped cell), so the
-    /// numbers stay comparable across blocking and non-blocking runs.
+    /// Active worker seconds per cell, in grid order: the whole time a
+    /// worker spent stepping the cell, before and after any park, which
+    /// may begin in the previous round's window. It excludes the park
+    /// itself (claim-to-publish elapsed time would count it, handing the
+    /// adaptive cost model a round-sized "measurement" for every parked
+    /// cell), so the numbers stay comparable across runs.
     pub cell_secs: Vec<f64>,
-    /// Measured wall-clock duration of the whole round.
+    /// The round's window: host seconds from the previous round's merges
+    /// (or the pool's start) to this round's. The windows tile the
+    /// campaign, so they sum to its coordinated wall time.
     pub makespan_secs: f64,
-    /// Worker busy fraction: `Σ cell_secs / (workers × makespan)`.
+    /// Worker busy fraction inside the window: seconds workers spent on
+    /// any cell, this round's or a next-round cell claimed early, over
+    /// `workers × makespan`. At most 1.
     pub utilization: f64,
-    /// Most backend calls any single worker had simultaneously in flight
-    /// during the round (a suspended cell holds exactly one). 0 when the
-    /// backend completes instantly — nothing ever suspends; 1 when
-    /// suspended cells are drained one at a time (serial rounds); ≥ 2
-    /// means a worker multiplexed — that many provider calls genuinely
-    /// overlapped on one thread.
+    /// Most backend calls a single worker had in flight at once: 1 when
+    /// any of the round's cells suspended on a call, else 0 (the instant
+    /// backend never suspends). A worker polls its suspended cell instead
+    /// of claiming another, and a parked cell holds no call, so it is
+    /// never more.
     pub max_in_flight: usize,
 }
 

@@ -2,7 +2,8 @@
 //! cross-layer consistency with single sessions.
 
 use agents::{RuleSet, ShardedRuleStore};
-use stellar::{sched, Campaign, CampaignReport, RuleMode, StellarBuilder};
+use std::sync::{Arc, Mutex};
+use stellar::{sched, Campaign, CampaignObserver, CampaignReport, RuleMode, StellarBuilder};
 use workloads::WorkloadKind;
 
 const KINDS: [WorkloadKind; 2] = [WorkloadKind::Ior16M, WorkloadKind::MdWorkbench8K];
@@ -113,6 +114,52 @@ fn schedule_permutations_preserve_reports() {
         let report = campaign(Some(order.clone())).run();
         assert_reports_identical(&format!("{tag} {order:?}"), &report, &baseline);
     }
+}
+
+/// Round starts and worker claims, by seed, in the order they arrived.
+#[derive(Clone, Default)]
+struct Lifecycle(Arc<Mutex<Vec<(&'static str, u64)>>>);
+
+impl CampaignObserver for Lifecycle {
+    fn on_round_start(&mut self, seed: u64) {
+        self.0.lock().unwrap().push(("round", seed));
+    }
+
+    fn on_cell_claimed(&mut self, _worker: usize, seed: u64, _grid_idx: usize, _workload: &str) {
+        self.0.lock().unwrap().push(("claim", seed));
+    }
+}
+
+/// A worker with nothing left in round r claims round r + 1's next
+/// planned cell and steps it up to its rule lookup while round r's heavy
+/// cell still runs. Where one MDWorkbench cell outweighs the light cells
+/// together, some round's first claim therefore precedes its
+/// `RoundStart`, and the warm report still equals the serial one.
+#[test]
+fn idle_workers_open_the_next_round_early() {
+    let seeds = [61, 62, 63, 64];
+    let engine = StellarBuilder::new().attempt_budget(3).build();
+    let lifecycle = Lifecycle::default();
+    let campaign = Campaign::new(&engine)
+        .kinds(&[WorkloadKind::Ior64K, WorkloadKind::Ior16M], 0.02)
+        .workload(WorkloadKind::MdWorkbench2K.spec_at(0.05))
+        .seeds(seeds)
+        .rule_mode(RuleMode::Warm)
+        .threads(2)
+        .observe(Box::new(lifecycle.clone()));
+    let report = campaign.run();
+    let seen = std::mem::take(&mut *lifecycle.0.lock().unwrap());
+    let position = |event: (&str, u64)| seen.iter().position(|&e| e == event);
+    let early: Vec<u64> = seeds[1..]
+        .iter()
+        .copied()
+        .filter(|&seed| position(("claim", seed)) < position(("round", seed)))
+        .collect();
+    assert!(
+        !early.is_empty(),
+        "no round was claimed before it started: {seen:?}"
+    );
+    assert_reports_identical("overlapped rounds", &report, &campaign.run_serial());
 }
 
 /// A cold campaign cell reproduces the stand-alone session for the same
