@@ -52,6 +52,7 @@ use crate::session::{RunObserver, SessionError, SessionEvent};
 use agents::{AnalysisQuestion, Answer, IoReport};
 use llmsim::{CallError, CallHandle, UsageMeter};
 use serde::{Deserialize, Serialize};
+use std::collections::BTreeMap;
 use std::fs::File;
 use std::io::{BufWriter, IsTerminal, Write};
 use std::path::Path;
@@ -301,7 +302,8 @@ pub enum SchedNote {
     RoundStats {
         /// Grid seed.
         seed: u64,
-        /// Measured round duration, host seconds.
+        /// The round's window (previous round's merges to its own), host
+        /// seconds.
         makespan_secs: f64,
         /// Worker busy fraction.
         utilization: f64,
@@ -1016,13 +1018,14 @@ pub struct ProgressRenderer<W: Write + Send> {
     rounds_total: usize,
     rounds_done: usize,
     current_seed: u64,
-    /// Per-worker open cells: `(grid_idx, state)` per cell the worker
-    /// currently holds. A multiplexing worker holds several at once (one
-    /// stepping, the rest suspended on in-flight calls), so a single
-    /// display slot per worker would misreport — publishing one cell
-    /// must not show the worker "idle" while siblings are still open.
-    worker_cells: Vec<Vec<(usize, String)>>,
-    done_in_round: usize,
+    /// Per-worker held cells: `(seed, grid_idx, state)` per cell the
+    /// worker holds. A worker can hold a parked next-round cell beside the
+    /// cell it steps, so one display slot per worker would misreport.
+    worker_cells: Vec<Vec<(u64, usize, String)>>,
+    /// Published cells per grid seed. A next-round cell can finish before
+    /// its round starts, so each publish counts under its own seed, not
+    /// under the round the board shows.
+    done_by_seed: BTreeMap<u64, usize>,
     total_done: usize,
     /// Lines the last live draw used (to rewind the cursor).
     drawn: usize,
@@ -1047,9 +1050,32 @@ impl<W: Write + Send> ProgressRenderer<W> {
             rounds_done: 0,
             current_seed: 0,
             worker_cells: Vec::new(),
-            done_in_round: 0,
+            done_by_seed: BTreeMap::new(),
             total_done: 0,
             drawn: 0,
+        }
+    }
+
+    /// Cells of round `seed` published so far.
+    fn done(&self, seed: u64) -> usize {
+        self.done_by_seed.get(&seed).copied().unwrap_or(0)
+    }
+
+    fn label(&self, grid_idx: usize) -> String {
+        self.workloads
+            .get(grid_idx)
+            .map_or_else(|| "?".to_string(), String::clone)
+    }
+
+    /// Set the board state of the cell `worker` holds at `(seed, grid_idx)`.
+    fn set_state(&mut self, worker: usize, seed: u64, grid_idx: usize, state: String) {
+        if let Some(cells) = self.worker_cells.get_mut(worker) {
+            if let Some(cell) = cells
+                .iter_mut()
+                .find(|(s, i, _)| (*s, *i) == (seed, grid_idx))
+            {
+                cell.2 = state;
+            }
         }
     }
 
@@ -1073,7 +1099,7 @@ impl<W: Write + Send> ProgressRenderer<W> {
             (self.rounds_done + 1).min(self.rounds_total.max(1)),
             self.rounds_total,
             self.current_seed,
-            self.done_in_round,
+            self.done(self.current_seed),
             self.workloads.len(),
             self.total_done,
         );
@@ -1085,7 +1111,7 @@ impl<W: Write + Send> ProgressRenderer<W> {
             } else {
                 cells
                     .iter()
-                    .map(|(_, s)| s.as_str())
+                    .map(|(_, _, s)| s.as_str())
                     .collect::<Vec<_>>()
                     .join("; ")
             };
@@ -1114,10 +1140,15 @@ impl<W: Write + Send> CampaignObserver for ProgressRenderer<W> {
 
     fn on_round_start(&mut self, seed: u64) {
         self.current_seed = seed;
-        self.done_in_round = 0;
         if !self.live {
+            let done = self.done(seed);
+            let ahead = if done > 0 {
+                format!(", {done}/{} cell(s) already done", self.workloads.len())
+            } else {
+                String::new()
+            };
             self.say(&format!(
-                "round {}/{}: seed {seed}",
+                "round {}/{}: seed {seed}{ahead}",
                 self.rounds_done + 1,
                 self.rounds_total
             ));
@@ -1125,28 +1156,20 @@ impl<W: Write + Send> CampaignObserver for ProgressRenderer<W> {
         self.redraw();
     }
 
-    fn on_cell_claimed(&mut self, worker: usize, _seed: u64, grid_idx: usize, workload: &str) {
+    fn on_cell_claimed(&mut self, worker: usize, seed: u64, grid_idx: usize, workload: &str) {
         if let Some(cells) = self.worker_cells.get_mut(worker) {
-            cells.push((grid_idx, format!("tuning {workload}")));
+            cells.push((seed, grid_idx, format!("tuning {workload} (seed {seed})")));
         }
         if !self.live {
-            self.say(&format!("  w{worker} > {workload}"));
+            self.say(&format!("  w{worker} > {workload} (seed {seed})"));
         }
         self.redraw();
     }
 
-    fn on_cell_suspended(&mut self, worker: usize, _seed: u64, grid_idx: usize, call: CallHandle) {
-        let label = self
-            .workloads
-            .get(grid_idx)
-            .map(String::as_str)
-            .unwrap_or("?")
-            .to_string();
-        if let Some(cells) = self.worker_cells.get_mut(worker) {
-            if let Some(cell) = cells.iter_mut().find(|(i, _)| *i == grid_idx) {
-                cell.1 = format!("{label} waiting on call #{}", call.id());
-            }
-        }
+    fn on_cell_suspended(&mut self, worker: usize, seed: u64, grid_idx: usize, call: CallHandle) {
+        let label = self.label(grid_idx);
+        let state = format!("{label} waiting on call #{}", call.id());
+        self.set_state(worker, seed, grid_idx, state);
         if !self.live {
             self.say(&format!(
                 "  w{worker} ~ {label} waiting on call #{}",
@@ -1156,20 +1179,31 @@ impl<W: Write + Send> CampaignObserver for ProgressRenderer<W> {
         self.redraw();
     }
 
-    fn on_cell_published(&mut self, worker: usize, _seed: u64, grid_idx: usize, busy_secs: f64) {
-        self.done_in_round += 1;
+    fn on_cell_parked(&mut self, worker: usize, seed: u64, grid_idx: usize) {
+        let label = self.label(grid_idx);
+        let state = format!("{label} (seed {seed}) waiting for rules");
+        self.set_state(worker, seed, grid_idx, state);
+        if !self.live {
+            self.say(&format!(
+                "  w{worker} | {label} (seed {seed}) waiting for rules"
+            ));
+        }
+        self.redraw();
+    }
+
+    fn on_cell_published(&mut self, worker: usize, seed: u64, grid_idx: usize, busy_secs: f64) {
+        *self.done_by_seed.entry(seed).or_insert(0) += 1;
         self.total_done += 1;
-        let label = self
-            .workloads
-            .get(grid_idx)
-            .map(String::as_str)
-            .unwrap_or("?")
-            .to_string();
+        let label = self.label(grid_idx);
         if let Some(cells) = self.worker_cells.get_mut(worker) {
-            cells.retain(|(i, _)| *i != grid_idx);
+            cells.retain(|&(s, i, _)| (s, i) != (seed, grid_idx));
         }
         if !self.live {
-            self.say(&format!("  w{worker} = {label} done in {busy_secs:.3}s"));
+            self.say(&format!(
+                "  w{worker} = {label} done in {busy_secs:.3}s ({}/{} of seed {seed})",
+                self.done(seed),
+                self.workloads.len()
+            ));
         }
         self.redraw();
     }
@@ -1437,6 +1471,58 @@ mod tests {
             !text.contains('\x1b'),
             "plain mode must not emit ANSI: {text}"
         );
+    }
+
+    /// Callbacks interleave across rounds: a next-round cell publishes
+    /// before its round starts and another parks for rules. Each publish
+    /// counts under its own seed, and the parked cell says what it waits
+    /// for.
+    #[test]
+    fn progress_renderer_counts_publishes_under_their_own_seed() {
+        let mut pr = ProgressRenderer::new(Vec::new(), false);
+        pr.on_campaign_start(&CampaignGrid {
+            workloads: vec!["IOR_16M".into(), "MDWorkbench_8K".into()],
+            seeds: vec![1, 2],
+            mode: crate::RuleMode::Cold,
+            workers: 2,
+            schedule: Schedule::Adaptive,
+            faults: None,
+            injection: None,
+            retry: None,
+        });
+        pr.on_round_start(1);
+        pr.on_cell_claimed(0, 1, 1, "MDWorkbench_8K");
+        pr.on_cell_claimed(1, 1, 0, "IOR_16M");
+        pr.on_cell_published(1, 1, 0, 0.5);
+        pr.on_cell_claimed(1, 2, 0, "IOR_16M");
+        pr.on_cell_published(1, 2, 0, 0.25);
+        pr.on_cell_claimed(1, 2, 1, "MDWorkbench_8K");
+        pr.on_cell_parked(1, 2, 1);
+        pr.on_cell_published(0, 1, 1, 2.0);
+        pr.on_round_finished(&RoundSched {
+            seed: 1,
+            order: vec![1, 0],
+            cell_secs: vec![0.5, 2.0],
+            makespan_secs: 2.0,
+            utilization: 0.9,
+            max_in_flight: 0,
+        });
+        pr.on_round_start(2);
+        pr.on_cell_published(1, 2, 1, 1.0);
+        let text = String::from_utf8(pr.out.clone()).unwrap();
+        for line in [
+            "w1 > IOR_16M (seed 2)",
+            "w1 = IOR_16M done in 0.500s (1/2 of seed 1)",
+            "w1 = IOR_16M done in 0.250s (1/2 of seed 2)",
+            "w1 | MDWorkbench_8K (seed 2) waiting for rules",
+            "w0 = MDWorkbench_8K done in 2.000s (2/2 of seed 1)",
+            "round 2/2: seed 2, 1/2 cell(s) already done",
+            "w1 = MDWorkbench_8K done in 1.000s (2/2 of seed 2)",
+        ] {
+            assert!(text.contains(line), "missing `{line}` in:\n{text}");
+        }
+        assert!(!text.contains("round 1/2: seed 1,"), "{text}");
+        assert!(pr.worker_cells.iter().all(Vec::is_empty), "all published");
     }
 
     /// A handle for tests: round-trips through the only public surface.
