@@ -24,6 +24,10 @@
 //! perfsuite --simscale [--quick] [--out FILE] [--prior FILE]
 //! ```
 //!
+//! Any other `--` argument, or one that belongs to the other mode, exits
+//! 2 with `unknown flag`, so a typo such as `--quik` fails fast instead
+//! of running with defaults.
+//!
 //! `--quick` (the CI `bench-smoke` job) shrinks seeds and scales so the
 //! suite finishes in well under a minute; the committed baseline is a full
 //! run (8 seeds × 5 workloads).
@@ -80,6 +84,34 @@ struct SchedReport {
     /// Round-makespan reduction of adaptive vs FIFO, percent.
     adaptive_reduction_pct: f64,
     hot_path: HotPath,
+}
+
+/// The first `--` argument the chosen mode does not read, if any.
+fn unknown_flag(args: &[String]) -> Option<&str> {
+    let (switches, valued): (&[&str], &[&str]) = if args.iter().any(|a| a == "--simscale") {
+        (&["--simscale", "--quick"], &["--out", "--prior"])
+    } else {
+        (
+            &["--quick"],
+            &[
+                "--out",
+                "--workers",
+                "--seeds",
+                "--light-scale",
+                "--heavy-scale",
+                "--attempts",
+            ],
+        )
+    };
+    let mut rest = args.iter();
+    while let Some(arg) = rest.next() {
+        if valued.contains(&arg.as_str()) {
+            rest.next();
+        } else if arg.starts_with("--") && !switches.contains(&arg.as_str()) {
+            return Some(arg);
+        }
+    }
+    None
 }
 
 fn flag(args: &[String], name: &str) -> Option<String> {
@@ -361,6 +393,10 @@ fn grid(light: f64, heavy: f64) -> Vec<(WorkloadKind, f64)> {
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    if let Some(flag) = unknown_flag(&args) {
+        eprintln!("unknown flag `{flag}`");
+        std::process::exit(2);
+    }
     if args.iter().any(|a| a == "--simscale") {
         run_simscale(&args);
         return;
@@ -484,4 +520,31 @@ fn main() {
     let rendered = serde_json::to_string_pretty(&json).expect("report serializes");
     std::fs::write(&out, rendered + "\n").expect("write BENCH json");
     println!("wrote {out}");
+}
+
+#[cfg(test)]
+mod tests {
+    use super::unknown_flag;
+
+    fn args(line: &str) -> Vec<String> {
+        line.split_whitespace().map(String::from).collect()
+    }
+
+    /// Both `perfsuite` invocations in `ci.yml` parse; a typo, or a flag
+    /// of the other mode, is unknown.
+    #[test]
+    fn flags_outside_the_mode_are_unknown() {
+        assert_eq!(unknown_flag(&args("--quick --out BENCH_sched.json")), None);
+        assert_eq!(
+            unknown_flag(&args("--simscale --quick --out BENCH_simscale_ci.json")),
+            None
+        );
+        assert_eq!(
+            unknown_flag(&args("--workers 2 --seeds 8 --attempts 3")),
+            None
+        );
+        assert_eq!(unknown_flag(&args("--quik --seeds 1")), Some("--quik"));
+        assert_eq!(unknown_flag(&args("--simscale --seeds 2")), Some("--seeds"));
+        assert_eq!(unknown_flag(&args("--prior old.json")), Some("--prior"));
+    }
 }

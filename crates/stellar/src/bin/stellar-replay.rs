@@ -6,6 +6,9 @@
 //! stellar-replay <file.jsonl> --notes    dump the scheduling/timing sidecar
 //! ```
 //!
+//! Any other `--` argument exits 2 with `unknown flag`, so a typo such as
+//! `--event` fails fast instead of printing the summary.
+//!
 //! Records are written by `stellar-tune tune --emit` / `campaign --emit`
 //! (one [`stellar::RecordLine`] per line, schema-versioned — see
 //! `stellar::obs`). The summary is reproduced from the record alone: for
@@ -16,6 +19,13 @@ use stellar::{ObsEvent, RunRecord, SchedNote};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    if let Some(flag) = args
+        .iter()
+        .find(|a| a.starts_with("--") && !matches!(a.as_str(), "--events" | "--notes"))
+    {
+        eprintln!("unknown flag `{flag}`");
+        std::process::exit(2);
+    }
     let Some(path) = args.iter().find(|a| !a.starts_with("--")) else {
         eprintln!("usage: stellar-replay <file.jsonl> [--events] [--notes]");
         std::process::exit(2);

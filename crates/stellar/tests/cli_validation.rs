@@ -1,6 +1,7 @@
 //! `stellar-tune` argument validation: an empty or malformed grid — and
 //! any malformed numeric or unknown flag — is a friendly usage error (exit code 2,
-//! diagnostic on stderr), never a panic. Each case exits during argument
+//! diagnostic on stderr), never a panic. `stellar-replay` rejects unknown
+//! flags the same way. Each case exits during argument
 //! validation, before any tuning work starts, so these stay cheap.
 
 use std::process::Command;
@@ -86,6 +87,19 @@ fn unknown_flags_are_usage_errors() {
             "{args:?}: {stderr}"
         );
     }
+}
+
+/// `stellar-replay` rejects a flag it does not read before it loads the
+/// record, so a typo for `--events` fails instead of printing the summary.
+#[test]
+fn unknown_replay_flag_is_a_usage_error() {
+    let out = Command::new(env!("CARGO_BIN_EXE_stellar-replay"))
+        .args(["rec.jsonl", "--event"])
+        .output()
+        .expect("stellar-replay spawns");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(stderr.contains("unknown flag `--event`"), "{stderr}");
 }
 
 #[test]
