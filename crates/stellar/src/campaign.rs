@@ -642,8 +642,9 @@ struct Pool {
 }
 
 impl Pool {
-    /// Lock the state. Recovers a poisoned lock: a panicking thread has
-    /// set `aborted` by the time anyone else looks.
+    /// Lock the state. Recovers a poisoned lock: a thread panics under it
+    /// only on a broken internal condition, and its [`AbortOnPanic`] then
+    /// sets `aborted`, after which every thread reads nothing else.
     fn lock(&self) -> MutexGuard<'_, PoolState> {
         self.state.lock().unwrap_or_else(PoisonError::into_inner)
     }
