@@ -578,16 +578,14 @@ struct PoolState {
     /// Every round of the campaign, by position. Replayed rounds are
     /// never planned, so workers never claim them.
     rounds: Vec<PoolRound>,
-    /// Live cells no worker has claimed yet. A worker exits once this is
-    /// 0 and it holds no parked cell.
-    unclaimed: usize,
     /// Per worker: when its current busy stretch began, or when the
     /// current window did if that is later. `None` while it waits.
     busy_since: Vec<Option<Instant>>,
     /// Worker busy seconds inside the current window.
     window_busy: f64,
-    /// Set when a thread panics: every other thread stops and returns.
-    aborted: bool,
+    /// Set once the last round has merged, or when a thread panics:
+    /// every thread stops waiting and returns.
+    closed: bool,
 }
 
 impl PoolState {
@@ -602,7 +600,6 @@ impl PoolState {
             .find(|(_, r)| r.claimed < r.order.len() && (!holds_parked || r.rules.is_some()))?;
         let grid_idx = slots.order[slots.claimed];
         slots.claimed += 1;
-        self.unclaimed -= 1;
         Some((round, grid_idx))
     }
 
@@ -644,7 +641,7 @@ struct Pool {
 impl Pool {
     /// Lock the state. Recovers a poisoned lock: a thread panics under it
     /// only on a broken internal condition, and its [`AbortOnPanic`] then
-    /// sets `aborted`, after which every thread reads nothing else.
+    /// closes the pool, after which every thread reads nothing else.
     fn lock(&self) -> MutexGuard<'_, PoolState> {
         self.state.lock().unwrap_or_else(PoisonError::into_inner)
     }
@@ -668,7 +665,7 @@ impl Pool {
     /// copy the rule set away from it. `None` when a thread panicked.
     fn take_round(&self, k: usize) -> Option<(Vec<usize>, Vec<Published>)> {
         let mut state = self.lock();
-        while !state.aborted {
+        while !state.closed {
             let round = &mut state.rounds[k];
             if round.published == round.cells.len() {
                 let PoolRound { order, cells, .. } = std::mem::take(round);
@@ -681,7 +678,7 @@ impl Pool {
     }
 }
 
-/// Aborts the pool when the thread holding it unwinds, so no other
+/// Closes the pool when the thread holding it unwinds, so no other
 /// thread waits forever on a cell, a round or rules the panicking thread
 /// would have produced. The panic itself reaches `run()` through the
 /// worker's join or through the coordinating thread's own unwind.
@@ -690,7 +687,7 @@ struct AbortOnPanic<'p>(&'p Pool);
 impl Drop for AbortOnPanic<'_> {
     fn drop(&mut self) {
         if std::thread::panicking() {
-            self.0.update(|state| state.aborted = true);
+            self.0.update(|state| state.closed = true);
         }
     }
 }
@@ -903,7 +900,7 @@ impl<'e> Campaign<'e> {
             let claimed = {
                 let mut state = pool.lock();
                 let claimed = loop {
-                    if state.aborted {
+                    if state.closed {
                         return;
                     }
                     if parked
@@ -914,9 +911,6 @@ impl<'e> Campaign<'e> {
                     }
                     if let Some(claim) = state.claim(parked.is_some()) {
                         break Some(claim);
-                    }
-                    if state.unclaimed == 0 && parked.is_none() {
-                        return;
                     }
                     state = pool.wait(state);
                 };
@@ -1109,10 +1103,9 @@ impl<'e> Campaign<'e> {
         let pool = Pool {
             state: Mutex::new(PoolState {
                 rounds: (0..rounds).map(|_| PoolRound::default()).collect(),
-                unclaimed: (rounds - live) * n,
                 busy_since: vec![None; workers],
                 window_busy: 0.0,
-                aborted: false,
+                closed: false,
             }),
             changed: Condvar::new(),
         };
@@ -1172,7 +1165,7 @@ impl<'e> Campaign<'e> {
                     None => {
                         let Some((order, executed)) = pool.take_round(k) else {
                             join_workers(handles);
-                            unreachable!("the pool aborts only when a thread panics");
+                            unreachable!("the pool closes early only when a thread panics");
                         };
                         let mut round = Vec::with_capacity(n);
                         let mut cell_secs = Vec::with_capacity(n);
@@ -1243,6 +1236,7 @@ impl<'e> Campaign<'e> {
                 sched_stats.rounds.push(round_sched);
                 cells.extend(round);
             }
+            pool.update(|state| state.closed = true);
             join_workers(handles);
         });
         let report = CampaignReport {
