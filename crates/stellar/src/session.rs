@@ -293,8 +293,8 @@ enum GateStatus {
 /// The gate an agent turn must clear before it executes: the turn's call
 /// through the session's [`SimTransport`], retried under the
 /// [`RetryPolicy`]. One call in flight at a time — a session is a single
-/// logical conversation. The transport draws each call's tick budget and failure verdict
-/// from its submission index, so the failure schedule is
+/// logical conversation. The transport draws each call's tick budget and
+/// failure verdict from its submission index, so the failure schedule is
 /// latency-invariant (see the module docs).
 struct Gate {
     transport: SimTransport,
