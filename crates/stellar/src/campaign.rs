@@ -17,10 +17,10 @@
 //! after the round. A cell reads its snapshot only when its session
 //! builds the Tuning Agent, so a cell that starts before its round's
 //! rules exist still reads exactly that snapshot (see Scheduling).
-//! [`Campaign::run`] (parallel) and
-//! [`Campaign::run_serial`] therefore produce identical reports — asserted
-//! in `tests/integration_campaign.rs`, which also pins both to a warm grid
-//! rebuilt by hand from stand-alone sessions.
+//! [`Campaign::run`] (parallel) and [`Campaign::run_serial`] therefore
+//! produce identical reports — asserted in `tests/integration_campaign.rs`,
+//! which also pins both to a warm grid rebuilt by hand from stand-alone
+//! sessions.
 //!
 //! ## Rule storage
 //!
@@ -91,9 +91,8 @@
 //! parsed record: every *complete* round is replayed from the recorded
 //! cells (re-notified and re-merged in grid order by the same loop that
 //! merges live rounds, never re-executed) and only the remainder runs
-//! live. Because recorded runs round-trip
-//! exactly, the resumed record and report are bit-identical to an
-//! uninterrupted run's.
+//! live. Because recorded runs round-trip exactly, the resumed record and
+//! report are bit-identical to an uninterrupted run's.
 //!
 //! ## Observation
 //!
@@ -103,9 +102,9 @@
 //! coordinating thread, while telemetry callbacks (claims, suspensions,
 //! parks, publishes, planned orders, round stats) stream live from the
 //! worker pool. A round's planned order and its early claims come before
-//! its canonical `on_round_start`. [`crate::obs`] builds the JSONL run record and the live
-//! progress board on this seam; observation never changes the report
-//! (pinned by `tests/integration_obs.rs`).
+//! its canonical `on_round_start`. [`crate::obs`] builds the JSONL run
+//! record and the live progress board on this seam; observation never
+//! changes the report (pinned by `tests/integration_obs.rs`).
 
 use crate::engine::{Stellar, TuningRun};
 use crate::sched::{self, CostModel, RoundSched, SchedStats, Schedule};
@@ -250,16 +249,17 @@ pub trait CampaignObserver: Send {
     }
 
     /// Canonical: one finished cell, delivered in grid order once all of
-    /// the round's cells have finished (not in completion order). Only fires for cells
-    /// whose outcome is [`CellOutcome::Finished`]; failed cells go to
-    /// [`on_cell_failed`](CampaignObserver::on_cell_failed) instead.
+    /// the round's cells have finished (not in completion order). Only
+    /// fires for cells whose outcome is [`CellOutcome::Finished`]; failed
+    /// cells go to [`on_cell_failed`](CampaignObserver::on_cell_failed)
+    /// instead.
     fn on_cell_finished(&mut self, cell: &CampaignCell) {
         let _ = cell;
     }
 
     /// Canonical: one *failed* cell (structured session error or caught
-    /// panic), delivered in grid order with the round's other cells, exactly
-    /// like [`on_cell_finished`](CampaignObserver::on_cell_finished).
+    /// panic), delivered in grid order with the round's other cells,
+    /// exactly like [`on_cell_finished`](CampaignObserver::on_cell_finished).
     /// Failed cells merge no rules, so no
     /// [`on_rules_merged`](CampaignObserver::on_rules_merged) follows.
     fn on_cell_failed(&mut self, cell: &CampaignCell) {
