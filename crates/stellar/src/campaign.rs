@@ -53,7 +53,7 @@
 //! most one parked cell. A serial run ([`Campaign::run_serial`]) is the
 //! same pool with one worker, grid order and no look-ahead. The
 //! [`CampaignReport::sched_stats`] telemetry records each round's window
-//! (from the previous round's merges to its own) and the worker
+//! (from the previous round's completion to its own) and the worker
 //! utilization inside it, so the effect is measurable.
 //!
 //! ## Non-blocking backends
@@ -570,6 +570,9 @@ struct PoolRound {
     cells: Vec<Option<Published>>,
     /// How many of `cells` are filled.
     published: usize,
+    /// The round's window, once its last cell is published: worker busy
+    /// seconds inside it, and its length.
+    window: (f64, f64),
 }
 
 /// What the coordinating thread and the workers share, behind
@@ -578,9 +581,15 @@ struct PoolState {
     /// Every round of the campaign, by position. Replayed rounds are
     /// never planned, so workers never claim them.
     rounds: Vec<PoolRound>,
+    /// Rounds before this position have all their cells published and
+    /// their windows closed.
+    completed: usize,
     /// Per worker: when its current busy stretch began, or when the
     /// current window did if that is later. `None` while it waits.
     busy_since: Vec<Option<Instant>>,
+    /// When the current window began: the previous round's completion,
+    /// or the pool's first claim.
+    window_start: Option<Instant>,
     /// Worker busy seconds inside the current window.
     window_busy: f64,
     /// Set once the last round has merged, or when a thread panics:
@@ -613,21 +622,33 @@ impl PoolState {
             self.window_busy += (now - since).as_secs_f64();
         }
         if busy {
+            self.window_start.get_or_insert(now);
             self.busy_since[worker] = Some(now);
         }
     }
 
-    /// End the current window now: the worker busy seconds inside it,
-    /// with every stretch still open split at this instant, and the
-    /// instant itself.
-    fn close_window(&mut self) -> (f64, Instant) {
-        // detlint::allow(D001): round windows are sched telemetry, as above
-        let now = Instant::now();
-        for since in self.busy_since.iter_mut().flatten() {
-            self.window_busy += (now - *since).as_secs_f64();
-            *since = now;
+    /// Close, in round order, the window of every round whose cells are
+    /// all published. A window ends the instant its round's last cell is
+    /// published, when the round's merges can begin, so the coordinating
+    /// thread's own latency falls into the next window. Busy stretches
+    /// still open are split at that instant.
+    fn close_completed(&mut self) {
+        while self
+            .rounds
+            .get(self.completed)
+            .is_some_and(|r| !r.cells.is_empty() && r.published == r.cells.len())
+        {
+            // detlint::allow(D001): round windows are sched telemetry, as above
+            let now = Instant::now();
+            for since in self.busy_since.iter_mut().flatten() {
+                self.window_busy += (now - *since).as_secs_f64();
+                *since = now;
+            }
+            let start = self.window_start.replace(now).unwrap_or(now);
+            let busy = std::mem::take(&mut self.window_busy);
+            self.rounds[self.completed].window = (busy, (now - start).as_secs_f64());
+            self.completed += 1;
         }
-        (std::mem::take(&mut self.window_busy), now)
     }
 }
 
@@ -660,17 +681,12 @@ impl Pool {
     }
 
     /// Wait until every cell of round `k` is published, then take the
-    /// round's planned order and its cells in grid order. Taking the
-    /// round drops its rule snapshot, so the merges that follow do not
-    /// copy the rule set away from it. `None` when a thread panicked.
-    fn take_round(&self, k: usize) -> Option<(Vec<usize>, Vec<Published>)> {
+    /// round out of the pool. `None` when a thread panicked.
+    fn take_round(&self, k: usize) -> Option<PoolRound> {
         let mut state = self.lock();
         while !state.closed {
-            let round = &mut state.rounds[k];
-            if round.published == round.cells.len() {
-                let PoolRound { order, cells, .. } = std::mem::take(round);
-                let cells = cells.into_iter().map(|c| c.expect("every cell published"));
-                return Some((order, cells.collect()));
+            if k < state.completed {
+                return Some(std::mem::take(&mut state.rounds[k]));
             }
             state = self.wait(state);
         }
@@ -968,6 +984,7 @@ impl<'e> Campaign<'e> {
                     "cell {i} executed twice"
                 );
                 slots.published += 1;
+                state.close_completed();
             });
         }
     }
@@ -1103,7 +1120,9 @@ impl<'e> Campaign<'e> {
         let pool = Pool {
             state: Mutex::new(PoolState {
                 rounds: (0..rounds).map(|_| PoolRound::default()).collect(),
+                completed: live,
                 busy_since: vec![None; workers],
+                window_start: None,
                 window_busy: 0.0,
                 closed: false,
             }),
@@ -1125,9 +1144,6 @@ impl<'e> Campaign<'e> {
         let mut cells = Vec::with_capacity(n * rounds);
         std::thread::scope(|scope| {
             let _abort = AbortOnPanic(&pool);
-            // detlint::allow(D001): round windows are sched telemetry — rendered on
-            // stderr and recorded in the strippable sidecar, never in canonical events
-            let mut window_start = Instant::now();
             let handles: Vec<_> = (0..workers)
                 .map(|worker| {
                     let pool = &pool;
@@ -1163,14 +1179,26 @@ impl<'e> Campaign<'e> {
                 let (round, measured) = match self.replay.get(k) {
                     Some(replayed) => (replayed.clone(), None),
                     None => {
-                        let Some((order, executed)) = pool.take_round(k) else {
+                        // Dropping the round's snapshot here, with the rest
+                        // of the taken round, keeps the merges below from
+                        // copying the rule set away from it.
+                        let Some(PoolRound {
+                            order,
+                            cells: executed,
+                            window,
+                            ..
+                        }) = pool.take_round(k)
+                        else {
                             join_workers(handles);
                             unreachable!("the pool closes early only when a thread panics");
                         };
                         let mut round = Vec::with_capacity(n);
                         let mut cell_secs = Vec::with_capacity(n);
                         let mut suspended = false;
-                        for (i, p) in executed.into_iter().enumerate() {
+                        let executed = executed
+                            .into_iter()
+                            .map(|p| p.expect("every cell published"));
+                        for (i, p) in executed.enumerate() {
                             // Failed cells measure time-to-failure, not
                             // workload cost — don't let them skew the
                             // adaptive model.
@@ -1181,7 +1209,7 @@ impl<'e> Campaign<'e> {
                             suspended |= p.suspended;
                             round.push(p.cell);
                         }
-                        (round, Some((order, cell_secs, suspended)))
+                        (round, Some((order, cell_secs, suspended, window)))
                     }
                 };
                 // Merge learnings in grid order — deterministic regardless
@@ -1204,18 +1232,13 @@ impl<'e> Campaign<'e> {
                         CellOutcome::Failed(_) => self.notify(|o| o.on_cell_failed(cell)),
                     }
                 }
-                // The merges end the round's window; parked cells of the
-                // next round resume on the rules published here.
-                let (busy, window_end) = pool.update(|state| {
-                    if (live..rounds).contains(&(k + 1)) {
-                        state.rounds[k + 1].rules = Some(round_rules(&store));
-                    }
-                    state.close_window()
-                });
-                let makespan_secs = (window_end - window_start).as_secs_f64();
-                window_start = window_end;
+                // Parked cells of the next round resume on the rules
+                // published here.
+                if (live..rounds).contains(&(k + 1)) {
+                    pool.update(|state| state.rounds[k + 1].rules = Some(round_rules(&store)));
+                }
                 let round_sched = match measured {
-                    Some((order, cell_secs, suspended)) => RoundSched {
+                    Some((order, cell_secs, suspended, (busy, makespan_secs))) => RoundSched {
                         seed,
                         order,
                         cell_secs,

@@ -302,8 +302,8 @@ pub enum SchedNote {
     RoundStats {
         /// Grid seed.
         seed: u64,
-        /// The round's window (previous round's merges to its own), host
-        /// seconds.
+        /// The round's window (previous round's completion to its own),
+        /// host seconds.
         makespan_secs: f64,
         /// Worker busy fraction.
         utilization: f64,

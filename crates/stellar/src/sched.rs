@@ -212,9 +212,11 @@ pub struct RoundSched {
     /// adaptive cost model a round-sized "measurement" for every parked
     /// cell), so the numbers stay comparable across runs.
     pub cell_secs: Vec<f64>,
-    /// The round's window: host seconds from the previous round's merges
-    /// (or the pool's start) to this round's. The windows tile the
-    /// campaign, so they sum to its coordinated wall time.
+    /// The round's window: host seconds from the previous round's
+    /// completion (or the pool's first claim) to this round's, the
+    /// instant its last cell is published and its merges can begin. The
+    /// windows tile the campaign from its first claim to its last
+    /// round's completion.
     pub makespan_secs: f64,
     /// Worker busy fraction inside the window: seconds workers spent on
     /// any cell, this round's or a next-round cell claimed early, over
